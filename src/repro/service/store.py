@@ -22,18 +22,21 @@ it also ages out of memory.
 
 Entries can optionally be gzip-compressed on disk (``compress=True``) —
 reads sniff the two magic bytes, so compressed and uncompressed entries
-coexist in one root and old stores stay readable.  The entry schema is
-versioned: version-2 entries record their ``codec``; version-1 entries
-(pre-compression) are still parsed and are migrated in place on first
-read (rewritten at the current schema and the store's codec).
+coexist in one root.  The entry schema is versioned (v3, recording its
+``codec``); an entry of any other version — the ``indent=2`` v1/v2
+entries of older stores — is a recomputable miss like any other
+wrong-schema entry, never migrated: the digest addresses the content,
+so the next compile rewrites the same entry at v3.
 
-Entries are canonical JSON (:func:`repro.utils.serialization.canonical_json`)
-wrapping the schedule's canonical dict, its compact
-:class:`~repro.core.farm.PointMetrics` and the router name.  Because the
-schedule payload is the *canonical* serialisation (volatile wall-clock
-metadata stripped, keys sorted), a cached schedule re-renders
-byte-identical to a fresh compile of the same job — the durability suite
-pins that.
+Entries are sorted-key *compact* JSON (``canonical_json(data,
+indent=None)``, encoded in one C pass) wrapping the schedule's canonical
+dict, its compact :class:`~repro.core.farm.PointMetrics` and the router
+name.  Only the on-disk layout is compact: golden files, archives and
+:meth:`StoreEntry.schedule_json` keep the ``indent=2`` form, rendered
+when a caller asks.  Because the schedule payload is the *canonical*
+serialisation (volatile wall-clock metadata stripped, keys sorted), a
+cached schedule re-renders byte-identical to a fresh compile of the
+same job — the durability suite pins that.
 
 Reads are corruption-safe: a missing, truncated, garbled or
 wrong-schema entry is a *miss*, never a crash; the bad file is unlinked
@@ -87,12 +90,7 @@ from repro.utils.serialization import canonical_json, schedule_from_dict
 
 logger = logging.getLogger(__name__)
 
-_STORE_SCHEMA_VERSION = 2
-
-#: Schema versions :meth:`StoreEntry.from_dict` still parses.  Version 1
-#: predates compression (no ``codec`` field, always raw JSON); reading
-#: one migrates it in place to the current schema.
-_SUPPORTED_SCHEMA_VERSIONS = (1, _STORE_SCHEMA_VERSION)
+_STORE_SCHEMA_VERSION = 3
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -110,8 +108,7 @@ class StoreStats:
     ``hits`` is the total across tiers; ``memory_hits`` + ``disk_hits``
     always equals it, so per-tier hit rates are first-class (the load
     benchmark's headline numbers).  ``evictions`` counts disk-tier LRU
-    evictions, ``memory_evictions`` the in-process tier's.  ``migrated``
-    counts legacy schema-version-1 entries rewritten on read.
+    evictions, ``memory_evictions`` the in-process tier's.
 
     Since the observability PR this dataclass is a *view*: the numbers
     live in the store's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -127,7 +124,6 @@ class StoreStats:
     evictions: int = 0
     memory_evictions: int = 0
     corrupt: int = 0
-    migrated: int = 0
 
     @property
     def lookups(self) -> int:
@@ -158,7 +154,6 @@ class StoreStats:
             "evictions": self.evictions,
             "memory_evictions": self.memory_evictions,
             "corrupt": self.corrupt,
-            "migrated": self.migrated,
             "hit_rate": self.hit_rate,
             "memory_hit_rate": self.memory_hit_rate,
             "disk_hit_rate": self.disk_hit_rate,
@@ -203,13 +198,8 @@ class StoreEntry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "StoreEntry":
-        """Parse an entry dict of any supported schema version.
-
-        Version 1 (pre-compression) lacks the ``codec`` field but is
-        otherwise identical; :meth:`ScheduleStore.get` migrates such
-        entries in place after a successful parse.
-        """
-        if data.get("schema_version") not in _SUPPORTED_SCHEMA_VERSIONS:
+        """Parse an entry dict of the current schema version."""
+        if data.get("schema_version") != _STORE_SCHEMA_VERSION:
             raise QPilotError(
                 f"unsupported store entry schema version {data.get('schema_version')!r}"
             )
@@ -277,7 +267,6 @@ class ScheduleStore:
         self._c_evictions = metric("store_evictions_total")
         self._c_memory_evictions = metric("store_memory_evictions_total")
         self._c_corrupt = metric("store_corrupt_total")
-        self._c_migrated = metric("store_migrated_total")
         # the memory tier: digest -> StoreEntry, most-recently-used last
         self._memory: "OrderedDict[str, StoreEntry]" = OrderedDict()
         # entry count, maintained incrementally so bounded-store writes
@@ -302,7 +291,6 @@ class ScheduleStore:
             evictions=int(self._c_evictions.value),
             memory_evictions=int(self._c_memory_evictions.value),
             corrupt=int(self._c_corrupt.value),
-            migrated=int(self._c_migrated.value),
         )
 
     # -- addressing -----------------------------------------------------
@@ -355,8 +343,7 @@ class ScheduleStore:
         I/O.  Corrupted disk entries (truncated writes, garbled bytes,
         wrong schema, digest mismatch) count as misses: the bad file is
         removed and the caller recompiles, which rewrites a good entry.
-        Legacy schema-version-1 entries parse fine and are migrated in
-        place (rewritten at the current schema and codec).
+        Entries of an older schema version take the same path.
 
         A ``slow-store-read`` fault sleeps here before the lookup —
         *both* tiers — simulating a slow or contended disk so end-to-end
@@ -385,8 +372,7 @@ class ScheduleStore:
                 text = gzip.decompress(raw).decode("utf-8")
             else:
                 text = raw.decode("utf-8")
-            data = json.loads(text)
-            entry = StoreEntry.from_dict(data)
+            entry = StoreEntry.from_dict(json.loads(text))
             if entry.digest != digest:
                 raise QPilotError(f"store entry {path} digest mismatch")
         except (
@@ -418,23 +404,7 @@ class ScheduleStore:
                     self._count -= 1
             return None
         self._c_disk_hits.inc()
-        if data.get("schema_version") != _STORE_SCHEMA_VERSION:
-            # migration-on-read: rewrite the legacy entry at the current
-            # schema (and this store's codec); the rewrite refreshes the
-            # mtime, doubling as the LRU touch
-            self._c_migrated.inc()
-            log_event(
-                logger,
-                "entry-migrated",
-                digest=digest[:12],
-                from_version=data.get("schema_version"),
-            )
-            try:
-                self._write_entry_file(path, entry)
-            except OSError:
-                self._touch(path)  # migration is best-effort, LRU is not
-        else:
-            self._touch(path)
+        self._touch(path)
         self._memory_store(digest, entry)
         return entry
 
@@ -482,7 +452,7 @@ class ScheduleStore:
         """Atomically write one entry file at the store's current codec."""
         data = entry.to_dict()
         data["codec"] = "gzip" if self.compress else "raw"
-        payload = (canonical_json(data) + "\n").encode("utf-8")
+        payload = (canonical_json(data, indent=None) + "\n").encode("utf-8")
         if self.compress:
             # mtime=0 keeps the compressed bytes deterministic, so
             # concurrent writers of one digest still converge bit-for-bit
@@ -508,10 +478,10 @@ class ScheduleStore:
         removed = 0
         for path in list(self._entry_paths()):
             try:
-                path.unlink(missing_ok=True)
-                removed += 1
+                path.unlink()
             except OSError:
-                pass
+                continue  # incl. FileNotFoundError: another daemon removed it
+            removed += 1
         self._memory.clear()
         self._count = None  # recount lazily (unlinks may have failed)
         # a long-lived daemon clearing its store starts a fresh fault
@@ -612,14 +582,21 @@ class ScheduleStore:
                 if path == keep:
                     continue
                 try:
-                    path.unlink(missing_ok=True)
-                    if self._count is not None:
-                        self._count -= 1
-                    self._c_evictions.inc()
-                    removed += 1
+                    path.unlink()
+                except FileNotFoundError:
+                    # a concurrent daemon removed it since the scan: the
+                    # excess shrank, but the removal is not ours to count,
+                    # and it may be rewriting the entry — recount lazily
                     excess -= 1
+                    self._count = None
+                    continue
                 except OSError:
-                    pass
+                    continue
+                if self._count is not None:
+                    self._count -= 1
+                self._c_evictions.inc()
+                removed += 1
+                excess -= 1
             if removed:
                 log_event(
                     logger, "store-evicted", removed=removed, max_entries=self.max_entries

@@ -36,14 +36,19 @@ VOLATILE_METADATA_KEYS = frozenset({"compile_time_s"})
 
 
 def canonical_json(data: Any, *, indent: int | None = 2) -> str:
-    """Canonical JSON text: sorted keys, fixed indent — byte-stable.
+    """Canonical JSON text: sorted keys, fixed layout — byte-stable.
 
-    One serialisation convention shared by the golden schedule files, the
-    DSE trajectory archives and the compile-service schedule store: equal
-    data always renders to equal bytes, so content-addressed storage and
-    byte-diff regression tests work on the text directly.
+    Equal data always renders to equal bytes, so content-addressed
+    storage and byte-diff regression tests work on the text directly.
+    The default ``indent=2`` is the human-readable form of the golden
+    schedule files, the DSE trajectory archives and ``schedule_json()``.
+    ``indent=None`` is the compact form (no whitespace at all) that the
+    compile-service schedule store writes: CPython encodes it in one C
+    pass, several times faster and about 3x smaller than ``indent=2``,
+    which CPython before 3.14 renders with the pure-Python encoder.
     """
-    return json.dumps(data, indent=indent, sort_keys=True)
+    separators = (",", ":") if indent is None else None
+    return json.dumps(data, indent=indent, separators=separators, sort_keys=True)
 
 
 def _gate_to_dict(gate: ScheduledGate) -> dict[str, Any]:

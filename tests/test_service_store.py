@@ -26,6 +26,11 @@ from repro.utils.serialization import schedule_to_json
 SPEC = WorkloadSpec.random_circuit(8, 3, seed=11)
 
 
+def _compiled_at_width(width: int):
+    job = FarmJob(workload=SPEC, config=FPQAConfig.with_width(8, width))
+    return job.digest(), compile_farm_job_with_schedule(job)
+
+
 @pytest.fixture
 def job() -> FarmJob:
     return FarmJob(workload=SPEC, config=FPQAConfig.with_width(8, 4))
@@ -174,13 +179,48 @@ class TestStoreByteStability:
         ).schedule_json()
 
     def test_entry_file_is_canonical_json(self, tmp_path, job, compiled):
-        """The on-disk bytes themselves re-render canonically (sorted keys)."""
-        from repro.utils.serialization import canonical_json
-
+        """The on-disk bytes are schema-v3 sorted-key *compact* JSON."""
         store = ScheduleStore(tmp_path)
         store.put(job.digest(), compiled)
         text = store.path_for(job.digest()).read_text()
-        assert text == canonical_json(json.loads(text)) + "\n"
+        compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == compact + "\n"
+        assert json.loads(text)["schema_version"] == 3
+
+    @pytest.mark.parametrize("compress", (False, True), ids=("raw", "gzip"))
+    def test_put_never_calls_the_indented_encoder(
+        self, tmp_path, job, compiled, compress, monkeypatch
+    ):
+        """``put`` encodes in one C pass: the pure-Python encoder, which
+        every ``indent=2`` rendering goes through, is never entered."""
+        import json.encoder
+
+        def indented_encoder(*args, **kwargs):
+            raise AssertionError("put rendered the indent=2 form")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", indented_encoder)
+        with pytest.raises(AssertionError):
+            json.dumps({"a": 1}, indent=2)  # the patch does catch indent=2
+        store = ScheduleStore(tmp_path, compress=compress)
+        store.put(job.digest(), compiled)
+        monkeypatch.undo()
+        fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
+        entry = ScheduleStore(tmp_path).get(job.digest())
+        assert entry.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
+
+    def test_100q_entry_is_much_smaller_than_indented(self, tmp_path):
+        """A 100q entry file is at least 2.5x smaller than its indent=2 rendering."""
+        from repro.utils.serialization import canonical_json
+
+        job = FarmJob(
+            workload=WorkloadSpec.random_circuit(100, 5, seed=3),
+            config=FPQAConfig.with_width(100, 10),
+        )
+        store = ScheduleStore(tmp_path)
+        store.put(job.digest(), compile_farm_job_with_schedule(job))
+        raw = store.path_for(job.digest()).read_bytes()
+        indented = (canonical_json(json.loads(raw)) + "\n").encode("utf-8")
+        assert len(indented) >= 2.5 * len(raw), (len(indented), len(raw))
 
 
 class TestStoreEviction:
@@ -371,32 +411,48 @@ class TestCompression:
         )
 
 
-class TestSchemaMigration:
-    """Legacy schema-version-1 entries stay readable and migrate on read."""
+class TestLegacySchemaEntries:
+    """Entries of an older schema (the indent=2 v1 and v2 formats) are a
+    recomputable miss: unlinked, recompiled at schema v3, and the served
+    schedule keeps its golden bytes."""
 
-    def _write_v1(self, store: ScheduleStore, digest: str, compiled) -> None:
+    def _write_legacy(
+        self, store: ScheduleStore, digest: str, compiled, version: int, compress: bool
+    ) -> None:
+        import gzip
+
         from repro.service.store import StoreEntry
         from repro.utils.serialization import canonical_json
 
         data = StoreEntry.from_result(digest, compiled).to_dict()
-        data["schema_version"] = 1
-        data.pop("codec", None)  # v1 predates the codec field
+        data["schema_version"] = version
+        if version >= 2:  # v1 predates the codec field
+            data["codec"] = "gzip" if compress else "raw"
+        payload = (canonical_json(data) + "\n").encode("utf-8")
         path = store.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(data) + "\n")
+        path.write_bytes(gzip.compress(payload, mtime=0) if compress else payload)
 
     @pytest.mark.parametrize("compress", (False, True), ids=("raw", "gzip"))
-    def test_v1_entry_is_served_and_migrated_in_place(
-        self, tmp_path, job, compiled, compress
+    @pytest.mark.parametrize("version", (1, 2), ids=("v1", "v2"))
+    def test_legacy_entry_is_a_recomputable_miss(
+        self, tmp_path, job, compiled, version, compress
     ):
+        from repro.service import CompileRequest, CompileService
+
         store = ScheduleStore(tmp_path, compress=compress)
         digest = job.digest()
-        self._write_v1(store, digest, compiled)
-        entry = store.get(digest)
-        assert entry is not None
-        assert store.stats.migrated == 1
-        assert store.stats.corrupt == 0
-        # the file on disk is now a current-schema entry at this store's codec
+        self._write_legacy(store, digest, compiled, version, compress)
+        assert store.get(digest) is None
+        assert store.stats.misses == 1 and store.stats.corrupt == 1
+        assert not store.path_for(digest).exists(), "legacy entry must be unlinked"
+
+        self._write_legacy(store, digest, compiled, version, compress)
+        service = CompileService(tmp_path, executor="reference", compress=compress)
+        response = service.compile(CompileRequest.for_width(SPEC, 4))
+        assert response.digest == digest
+        assert not response.cached, "a legacy entry must not be served"
+        assert service.stats.farm_dispatches == 1
         raw = store.path_for(digest).read_bytes()
         if compress:
             import gzip
@@ -404,20 +460,60 @@ class TestSchemaMigration:
             assert raw[:2] == b"\x1f\x8b"
             raw = gzip.decompress(raw)
         rewritten = json.loads(raw.decode("utf-8"))
-        assert rewritten["schema_version"] == 2
+        assert rewritten["schema_version"] == 3
         assert rewritten["codec"] == ("gzip" if compress else "raw")
-        # and the served schedule is still the golden bytes
         fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
-        assert entry.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
-        # a later reader sees a current entry: no second migration
-        again = ScheduleStore(tmp_path, compress=compress)
-        assert again.get(digest) is not None
-        assert again.stats.migrated == 0
+        golden = schedule_to_json(fresh.schedule, canonical=True)
+        assert response.schedule_json() == golden
+        # a new reader serves the rewritten v3 entry, still golden bytes
+        again = ScheduleStore(tmp_path)
+        assert again.get(digest).schedule_json() == golden
+        assert again.stats.disk_hits == 1 and again.stats.corrupt == 0
 
 
 class TestCountConsistency:
-    """Regression: the corrupt-entry path must only decrement the cached
-    entry count for a file it actually removed."""
+    """Regression: removal paths (corrupt-entry repair, ``clear()``, LRU
+    eviction) must only count a file they actually removed."""
+
+    @staticmethod
+    def _vanish_after_scan(monkeypatch, store: ScheduleStore, victim) -> None:
+        """Make the next directory scan list ``victim``, then remove it
+        before the caller's unlink — a concurrent daemon sharing the root."""
+        scan = store._entry_paths
+
+        def scan_then_vanish():
+            paths = list(scan())
+            assert victim in paths
+            victim.unlink()
+            monkeypatch.setattr(store, "_entry_paths", scan)
+            return iter(paths)
+
+        monkeypatch.setattr(store, "_entry_paths", scan_then_vanish)
+
+    def test_clear_counts_only_files_it_removed(self, tmp_path, monkeypatch):
+        store = ScheduleStore(tmp_path)
+        results = [_compiled_at_width(width) for width in (2, 4, 8)]
+        for digest, result in results:
+            store.put(digest, result)
+        self._vanish_after_scan(monkeypatch, store, store.path_for(results[0][0]))
+        assert store.clear() == 2, "counted a file another daemon removed"
+        assert len(store) == 0
+
+    def test_eviction_counts_only_files_it_removed(self, tmp_path, monkeypatch):
+        store = ScheduleStore(tmp_path, max_entries=2)
+        (d1, r1), (d2, r2), (d3, r3) = (_compiled_at_width(w) for w in (2, 4, 8))
+        store.put(d1, r1)
+        os.utime(store.path_for(d1), (1, 1))  # d1 is the LRU victim
+        store.put(d2, r2)
+        os.utime(store.path_for(d2), (2, 2))
+        assert len(store) == 2
+        # another daemon removes d1 between this store's scan and unlink
+        self._vanish_after_scan(monkeypatch, store, store.path_for(d1))
+        store.put(d3, r3)
+        assert store.stats.evictions == 0, "counted another daemon's removal"
+        assert store.path_for(d2).exists(), "over-evicted below the bound"
+        assert store.path_for(d3).exists()
+        assert len(store) == len(store.digests()) == 2
 
     def test_concurrent_repair_does_not_drive_count_negative(
         self, tmp_path, job, compiled, monkeypatch
