@@ -29,7 +29,7 @@ from repro.circuit.qaoa import (
     qaoa_cost_layer,
     qaoa_maxcut_circuit,
 )
-from repro.circuit.qasm import DEFAULT_LIMITS, CircuitLimits, from_qasm, to_qasm
+from repro.circuit.qasm import DEFAULT_LIMITS, CircuitLimits, from_qasm, to_qasm, validate_qasm
 from repro.circuit.random_circuits import (
     bernstein_vazirani_circuit,
     ghz_circuit,
@@ -67,6 +67,7 @@ __all__ = [
     "bernstein_vazirani_circuit",
     "to_qasm",
     "from_qasm",
+    "validate_qasm",
     "CircuitLimits",
     "DEFAULT_LIMITS",
 ]

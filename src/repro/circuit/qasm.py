@@ -19,12 +19,17 @@ as **untrusted**:
 
 Every rejection raises :class:`repro.exceptions.CircuitError` carrying
 the 1-based ``line`` and ``column`` of the offending token.
+:func:`validate_qasm` gives the same verdict as :func:`from_qasm` and
+memoises successes, so a repeat upload is validated without a re-parse.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.circuit.circuit import QuantumCircuit
@@ -76,6 +81,9 @@ _REVERSE_NAMES = {v: k for k, v in _QASM_NAMES.items()}
 _REVERSE_NAMES["u3"] = "u"
 
 
+_LIMIT_FIELDS = ("max_qubits", "max_gates", "max_text_bytes", "max_parse_depth")
+
+
 @dataclass(frozen=True)
 class CircuitLimits:
     """Resource guard applied to untrusted QASM before any gate is built.
@@ -96,7 +104,7 @@ class CircuitLimits:
     max_parse_depth: int = 32
 
     def __post_init__(self) -> None:
-        for field in ("max_qubits", "max_gates", "max_text_bytes", "max_parse_depth"):
+        for field in _LIMIT_FIELDS:
             value = getattr(self, field)
             if not isinstance(value, int) or value < 1:
                 raise CircuitError(f"CircuitLimits.{field} must be a positive int, got {value!r}")
@@ -106,6 +114,16 @@ class CircuitLimits:
         """Limits large enough to never trigger (for pre-validated text)."""
         big = 2**62
         return cls(max_qubits=big, max_gates=big, max_text_bytes=big, max_parse_depth=10_000)
+
+    def covers(self, other: "CircuitLimits") -> bool:
+        """True when every field is at least as loose as ``other``'s."""
+        return all(getattr(self, f) >= getattr(other, f) for f in _LIMIT_FIELDS)
+
+    def meet(self, other: "CircuitLimits") -> "CircuitLimits":
+        """The field-wise tightest of two limits."""
+        return CircuitLimits(
+            **{f: min(getattr(self, f), getattr(other, f)) for f in _LIMIT_FIELDS}
+        )
 
 
 DEFAULT_LIMITS = CircuitLimits()
@@ -280,6 +298,24 @@ def _err(message: str, line_no: int, column: int) -> CircuitError:
     return CircuitError(f"line {line_no}: {message}", line=line_no, column=column)
 
 
+#: Significant digits allowed in a register size or index: 2**62 (the
+#: unbounded qubit cap) has 19, so a longer literal can never be valid.
+#: Checking before ``int()`` keeps a huge literal from raising a bare
+#: ``ValueError`` (Python's int-string limit) or costing quadratic time.
+_MAX_INT_DIGITS = 19
+
+
+def _int_literal(digits: str, line_no: int, column: int) -> int:
+    if len(digits.lstrip("0")) > _MAX_INT_DIGITS:
+        raise _err(
+            f"integer literal {digits[:_MAX_INT_DIGITS]}... has more than "
+            f"{_MAX_INT_DIGITS} significant digits",
+            line_no,
+            column,
+        )
+    return int(digits)
+
+
 def _iter_statements(text: str):
     """Yield ``(line_no, col, statement)`` triples, one per ``;``-terminated statement.
 
@@ -369,7 +405,7 @@ def _parse_operands(
         name, index_text = match.groups()
         if name != reg_name:
             raise _err(f"operand references undeclared register {name!r}", line_no, column)
-        index = int(index_text)
+        index = _int_literal(index_text, line_no, column)
         if index >= reg_size:
             raise _err(
                 f"operand {name}[{index}] out of range for qreg {reg_name}[{reg_size}]",
@@ -406,7 +442,7 @@ def from_qasm(text: str, *, limits: CircuitLimits | None = None) -> QuantumCircu
             if match is None:
                 raise _err(f"cannot parse qreg declaration: {statement!r}", line_no, col + 1)
             name, size_text = match.groups()
-            size = int(size_text)
+            size = _int_literal(size_text, line_no, col + 1)
             if register is not None:
                 prior = f"{register[0]}[{register[1]}]"
                 raise _err(
@@ -441,7 +477,7 @@ def from_qasm(text: str, *, limits: CircuitLimits | None = None) -> QuantumCircu
             if match is None:
                 raise _err(f"cannot parse measure: {statement!r}", line_no, col + 1)
             reg_name, reg_size = register
-            name, index = match.group(1), int(match.group(2))
+            name, index = match.group(1), _int_literal(match.group(2), line_no, col + 1)
             if name != reg_name:
                 raise _err(f"measure references undeclared register {name!r}", line_no, col + 1)
             if index >= reg_size:
@@ -489,3 +525,42 @@ def from_qasm(text: str, *, limits: CircuitLimits | None = None) -> QuantumCircu
     if register is None:
         raise CircuitError("QASM text does not declare a qreg")
     return QuantumCircuit(register[1], gates, name="from_qasm")
+
+
+#: Bound on the validation memo (texts); least-recently-used entries go first.
+VALIDATION_MEMO_ENTRIES = 1024
+
+# sha256(text) -> (tightest limits the text was accepted under, num_qubits)
+_VALIDATED: OrderedDict[str, tuple[CircuitLimits, int]] = OrderedDict()
+_VALIDATED_LOCK = threading.Lock()
+
+
+def validate_qasm(text: str, *, limits: CircuitLimits | None = None) -> int:
+    """Validate untrusted QASM exactly as :func:`from_qasm` would; return its qubit count.
+
+    Successes are memoised under the sha256 of the UTF-8 text together
+    with the limits they passed, so a repeat upload is not re-parsed.
+    Every limit only narrows what :func:`from_qasm` accepts, so a text
+    accepted under ``L`` is accepted under any ``limits`` that
+    :meth:`~CircuitLimits.covers` ``L``; only such a call is answered
+    from the memo.  Any other call runs the real parse, so a rejection
+    raises the same :class:`CircuitError` (line/column) as
+    :func:`from_qasm`.  Failures are never memoised.  The memo holds at
+    most :data:`VALIDATION_MEMO_ENTRIES` texts and is thread-safe.
+    """
+    if limits is None:
+        limits = DEFAULT_LIMITS
+    key = hashlib.sha256(text.encode("utf-8", errors="surrogatepass")).hexdigest()
+    with _VALIDATED_LOCK:
+        hit = _VALIDATED.get(key)
+        if hit is not None and limits.covers(hit[0]):
+            _VALIDATED.move_to_end(key)
+            return hit[1]
+    num_qubits = from_qasm(text, limits=limits).num_qubits
+    with _VALIDATED_LOCK:
+        hit = _VALIDATED.get(key)
+        _VALIDATED[key] = (limits if hit is None else limits.meet(hit[0]), num_qubits)
+        _VALIDATED.move_to_end(key)
+        while len(_VALIDATED) > VALIDATION_MEMO_ENTRIES:
+            _VALIDATED.popitem(last=False)
+    return num_qubits

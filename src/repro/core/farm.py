@@ -166,20 +166,23 @@ class WorkloadSpec:
 
         The ingestion boundary (:meth:`qasm` / ``CompileService.submit_qasm``)
         already applied a :class:`repro.circuit.CircuitLimits` guard; this
-        re-parse (unbounded, structural only) guarantees that hand-built or
+        check (unbounded, structural only) guarantees that hand-built or
         archived specs are equally incapable of smuggling invalid text past
-        the validators and into a farm worker.
+        the validators and into a farm worker.  It goes through
+        :func:`repro.circuit.validate_qasm`, so text that ingestion just
+        accepted is answered from the validation memo, not re-parsed;
+        the qubit count is compared with the spec's on every call.
         """
-        from repro.circuit.qasm import CircuitLimits, from_qasm
+        from repro.circuit.qasm import CircuitLimits, validate_qasm
 
         text = self.param("qasm")
         if not isinstance(text, str) or not text.strip():
             raise QPilotError("qasm workload needs a non-empty 'qasm' text param")
-        circuit = from_qasm(text, limits=CircuitLimits.unbounded())
-        if circuit.num_qubits != self.num_qubits:
+        num_qubits = validate_qasm(text, limits=CircuitLimits.unbounded())
+        if num_qubits != self.num_qubits:
             raise QPilotError(
                 f"qasm spec claims {self.num_qubits} qubits but the text declares "
-                f"qreg[{circuit.num_qubits}]"
+                f"qreg[{num_qubits}]"
             )
 
     def _validate_qec(self) -> None:
@@ -325,19 +328,21 @@ class WorkloadSpec:
         :data:`repro.circuit.DEFAULT_LIMITS`) *here*, before the spec —
         and therefore any farm job — exists; a :class:`CircuitError`
         with line/column escapes on anything malformed, hostile or
-        oversized.  Identical text yields an identical
-        :meth:`fingerprint` (the name is excluded from it), so repeat
-        uploads coalesce in the queue and warm-serve from the store
-        exactly like synthetic workloads.
+        oversized.  Validation goes through
+        :func:`repro.circuit.validate_qasm`, so a repeat upload accepted
+        under limits at least as tight is not parsed again.  Identical
+        text yields an identical :meth:`fingerprint` (the name is
+        excluded from it), so repeat uploads coalesce in the queue and
+        warm-serve from the store exactly like synthetic workloads.
         """
-        from repro.circuit.qasm import from_qasm
+        from repro.circuit.qasm import validate_qasm
 
-        circuit = from_qasm(text, limits=limits)
+        num_qubits = validate_qasm(text, limits=limits)
         sha1 = hashlib.sha1(text.encode("utf-8", errors="surrogatepass")).hexdigest()
         return cls(
             kind="qasm",
             name=name or f"qasm_{sha1[:12]}",
-            num_qubits=circuit.num_qubits,
+            num_qubits=num_qubits,
             params=_canonical_params({"qasm": text}),
         )
 

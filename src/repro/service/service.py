@@ -828,11 +828,14 @@ class CompileService:
     def ingest_qasm(self, text: str, *, limits=None, name: str | None = None) -> WorkloadSpec:
         """Validate untrusted OpenQASM text into a content-addressed spec.
 
-        This is the abuse boundary: the text is parsed under ``limits``
+        This is the abuse boundary: the text is validated under ``limits``
         (default :data:`repro.circuit.DEFAULT_LIMITS`) before any queue
-        ticket or farm job exists.  A failure — syntax, hostile angle
-        expression, out-of-range or duplicate operands, missing or
-        conflicting ``qreg``, resource-guard breach — increments
+        ticket or farm job exists; a repeat upload already accepted under
+        limits at least as tight is answered by
+        :func:`repro.circuit.validate_qasm`'s memo without a parse.  A
+        failure — syntax, hostile angle expression, out-of-range or
+        duplicate operands, missing or conflicting ``qreg``,
+        resource-guard breach — increments
         ``ServiceStats.rejected_invalid`` and raises a typed
         :class:`~repro.exceptions.InvalidCircuitError` carrying the
         offending line/column, with the underlying

@@ -68,3 +68,22 @@ def washington():
 @pytest.fixture
 def small_fpqa_config() -> FPQAConfig:
     return FPQAConfig(slm_rows=3, slm_cols=4)
+
+
+@pytest.fixture
+def qasm_parses(monkeypatch) -> list[str]:
+    """An empty QASM validation memo, and the text of every ``from_qasm`` call."""
+    from collections import OrderedDict
+
+    from repro.circuit import qasm
+
+    monkeypatch.setattr(qasm, "_VALIDATED", OrderedDict())
+    parses: list[str] = []
+    real_from_qasm = qasm.from_qasm
+
+    def counting_from_qasm(text, **kwargs):
+        parses.append(text)
+        return real_from_qasm(text, **kwargs)
+
+    monkeypatch.setattr(qasm, "from_qasm", counting_from_qasm)
+    return parses

@@ -7,19 +7,25 @@ ingestion boundary and compile **byte-identically** between the serial
 rejected with a typed :class:`CircuitError` /
 :class:`InvalidCircuitError` — within a bounded time, with zero farm
 dispatches and zero dead letters.  A Hypothesis-generated token-soup
-sweep pins the same either/or guarantee on arbitrary text.
+sweep pins the same either/or guarantee on arbitrary text.  The same
+corpus and token soup pin the memoised ``validate_qasm`` to a fresh
+``from_qasm`` under pairs of limits, with the memo cold and warm.
 """
 
 from __future__ import annotations
 
+import itertools
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit.qasm import from_qasm
+from repro.circuit import qasm as qasm_module
+from repro.circuit.qasm import DEFAULT_LIMITS, CircuitLimits, from_qasm, validate_qasm
 from repro.core.farm import CompileFarm, FarmJob, FarmOptions, WorkloadSpec
 from repro.exceptions import CircuitError, InvalidCircuitError
 from repro.hardware.fpqa import FPQAConfig
@@ -165,3 +171,122 @@ def test_generated_qasm_parses_or_rejects_typed(fragments):
     else:
         assert circuit.num_qubits >= 1
     assert time.perf_counter() - start < PARSE_TIME_BOUND_S
+
+
+# --- validation memo vs the from_qasm oracle ----------------------------
+
+#: Limits from loose to tight; the tightened variants each bite on some
+#: corpus file or token-soup text, so pairs of them exercise memo hits
+#: that must be refused as well as ones that may be served.
+MEMO_LIMITS = {
+    "default": DEFAULT_LIMITS,
+    "unbounded": CircuitLimits.unbounded(),
+    "qubits-3": CircuitLimits(max_qubits=3),
+    "gates-3": CircuitLimits(max_gates=3),
+    "depth-3": CircuitLimits(max_parse_depth=3),
+    "bytes-120": CircuitLimits(max_text_bytes=120),
+    "all-tight": CircuitLimits(max_qubits=5, max_gates=8, max_text_bytes=200, max_parse_depth=4),
+}
+MEMO_LIMIT_PAIRS = list(itertools.permutations(MEMO_LIMITS, 2))
+
+
+def _outcome(validate, text, limits):
+    """Accept → ("ok", num_qubits); reject → ("error", line, column, message)."""
+    try:
+        return ("ok", validate(text, limits=limits))
+    except CircuitError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+
+
+def _oracle(text, *, limits):
+    return from_qasm(text, limits=limits).num_qubits
+
+
+def _assert_memo_agrees(text, first, second):
+    """Cold and warm memo answers equal a fresh from_qasm, in both orders."""
+    qasm_module._VALIDATED.clear()
+    for name in (first, second, first, second):
+        limits = MEMO_LIMITS[name]
+        assert _outcome(validate_qasm, text, limits) == _outcome(_oracle, text, limits), (
+            f"{first} then {second}: disagreement under {name}"
+        )
+
+
+def _assert_monotone(text):
+    """accept(L) implies accept(L') whenever L' covers L (what the memo relies on)."""
+    accepted = {
+        name: _outcome(_oracle, text, limits)[0] == "ok" for name, limits in MEMO_LIMITS.items()
+    }
+    for tight, loose in itertools.permutations(MEMO_LIMITS, 2):
+        if accepted[tight] and MEMO_LIMITS[loose].covers(MEMO_LIMITS[tight]):
+            assert accepted[loose], f"accepted under {tight} but not under {loose}"
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
+def test_validate_qasm_agrees_with_from_qasm(path, qasm_parses):
+    text = _read(path)
+    for first, second in MEMO_LIMIT_PAIRS:
+        _assert_memo_agrees(text, first, second)
+    _assert_monotone(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_FRAGMENTS, min_size=0, max_size=12),
+    st.sampled_from(MEMO_LIMIT_PAIRS),
+)
+def test_validate_qasm_agrees_on_generated_text(fragments, pair):
+    text = "\n".join(fragments) + "\n"
+    _assert_memo_agrees(text, *pair)
+    _assert_monotone(text)
+
+
+def test_validation_memo_is_bounded_and_skips_failures(qasm_parses, monkeypatch):
+    monkeypatch.setattr(qasm_module, "VALIDATION_MEMO_ENTRIES", 4)
+    texts = [f"qreg q[{n}];\nh q[0];\n" for n in range(1, 11)]
+    for text in texts:
+        validate_qasm(text)
+    assert len(qasm_module._VALIDATED) == 4
+    bad = "qreg q[2];\ncx q[0], q[9];\n"
+    for _ in range(2):
+        with pytest.raises(CircuitError):
+            validate_qasm(bad)
+    assert len(qasm_module._VALIDATED) == 4
+    # the oldest texts were evicted; the newest still answer without a parse
+    qasm_parses.clear()
+    assert validate_qasm(texts[-1]) == 10
+    assert validate_qasm(texts[0]) == 1
+    assert qasm_parses == [texts[0]]
+
+
+def test_validation_memo_is_thread_safe(qasm_parses, monkeypatch):
+    """Threads racing on hits, inserts and evictions never corrupt the memo."""
+    monkeypatch.setattr(qasm_module, "VALIDATION_MEMO_ENTRIES", 8)
+    texts = [f"qreg q[{n}];\ncx q[0], q[{n - 1}];\n" for n in range(2, 42)]
+
+    def work(offset):
+        return [validate_qasm(texts[(i + offset) % len(texts)]) for i in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for offset, sizes in enumerate(results):
+        assert sizes == [from_qasm(texts[(i + offset) % len(texts)]).num_qubits for i in range(200)]
+    assert len(qasm_module._VALIDATED) == 8
+
+
+def test_validation_memo_keeps_the_tightest_accepted_limits(qasm_parses):
+    """Successes under two incomparable limits answer any call covering their meet."""
+    text = _read(CORPUS_DIR / "ok_hostile_angles_4q.qasm")
+    few_qubits = CircuitLimits(max_qubits=4, max_parse_depth=100)
+    shallow = CircuitLimits(max_qubits=100, max_parse_depth=5)
+    validate_qasm(text, limits=few_qubits)
+    validate_qasm(text, limits=shallow)
+    assert len(qasm_parses) == 2
+    assert validate_qasm(text, limits=few_qubits.meet(shallow)) == 4
+    assert validate_qasm(text, limits=few_qubits) == 4
+    assert len(qasm_parses) == 2

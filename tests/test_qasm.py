@@ -162,6 +162,27 @@ class TestOperandValidation:
             from_qasm("OPENQASM 2.0;\nqreg q[3];\nccx q[0], q[1];\n")
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize(
+        "body, column",
+        [
+            ("qreg q[{digits}];\n", 1),
+            ("qreg q[2];\ncx q[0], q[{digits}];\n", 10),
+            ("qreg q[2];\ncreg c[2];\nmeasure q[{digits}] -> c[0];\n", 1),
+        ],
+        ids=["qreg", "operand", "measure"],
+    )
+    def test_huge_integer_literal_rejected_typed(self, body, column):
+        text = "OPENQASM 2.0;\n" + body.format(digits="9" * 5000)
+        with pytest.raises(CircuitError, match="significant digits") as excinfo:
+            from_qasm(text, limits=CircuitLimits.unbounded())
+        assert excinfo.value.line == text.count("\n")
+        assert excinfo.value.column == column
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        circuit = from_qasm("OPENQASM 2.0;\nqreg q[" + "0" * 40 + "3];\nh q[0002];\n")
+        assert circuit.num_qubits == 3
+        assert circuit.gates[0].qubits == (2,)
+
     def test_barrier_bare_register_expands(self):
         circuit = from_qasm("OPENQASM 2.0;\nqreg q[3];\nbarrier q;\n")
         assert circuit.gates[0].name == "barrier"

@@ -10,10 +10,11 @@ canonical schedule is byte-identical to the freshly compiled one.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.circuit import CircuitLimits
+from repro.circuit import CircuitLimits, from_qasm
 from repro.core import FarmOptions, QPilotCompiler, WorkloadSpec
 from repro.exceptions import CircuitError, InvalidCircuitError, QPilotError
 from repro.hardware.fpqa import FPQAConfig
@@ -26,6 +27,8 @@ from repro.service import (
 from repro.service.cli import EXIT_INVALID_CIRCUIT
 from repro.service.cli import main as cli_main
 from repro.utils.serialization import schedule_to_json
+
+CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 
 #: One request per workload family, small enough for tier-1.
 FAMILY_REQUESTS = [
@@ -588,6 +591,55 @@ class TestQasmIngestion:
         with pytest.raises(InvalidCircuitError):
             service.compile_qasm(VALID_QASM, width=4, limits=CircuitLimits(max_qubits=2))
         assert service.stats.rejected_invalid == 1
+
+    def test_memoised_text_still_rejected_under_tighter_qubit_limit(self, tmp_path):
+        service = service_for(tmp_path)
+        assert service.compile_qasm(VALID_QASM, width=4).source == "compiled"
+        with pytest.raises(InvalidCircuitError) as excinfo:
+            service.compile_qasm(VALID_QASM, width=4, limits=CircuitLimits(max_qubits=2))
+        assert excinfo.value.line == 2
+        assert service.stats.rejected_invalid == 1
+        assert service.stats.farm_dispatches == 1
+
+    def test_memoised_text_still_rejected_under_tighter_parse_depth(self, tmp_path):
+        text = (CORPUS_DIR / "ok_hostile_angles_4q.qasm").read_text(encoding="utf-8")
+        tight = CircuitLimits(max_parse_depth=2)
+        with pytest.raises(CircuitError) as oracle:
+            from_qasm(text, limits=tight)
+        service = service_for(tmp_path)
+        service.compile_qasm(text, width=4)
+        with pytest.raises(InvalidCircuitError) as excinfo:
+            service.compile_qasm(text, width=4, limits=tight)
+        assert (excinfo.value.line, excinfo.value.column) == (
+            oracle.value.line,
+            oracle.value.column,
+        )
+        assert service.stats.rejected_invalid == 1
+
+    def test_bad_text_rejected_every_time(self, tmp_path):
+        service = service_for(tmp_path)
+        for _ in range(2):
+            with pytest.raises(InvalidCircuitError):
+                service.compile_qasm(BAD_QASM, width=4)
+        assert service.stats.rejected_invalid == 2
+        assert service.stats.farm_dispatches == 0
+        assert service.queue.depth == 0
+
+    def test_hand_built_spec_with_wrong_size_raises_for_memoised_text(self, tmp_path):
+        spec = service_for(tmp_path).ingest_qasm(VALID_QASM)
+        assert spec.num_qubits == 4
+        with pytest.raises(QPilotError):
+            WorkloadSpec(kind="qasm", name="x", num_qubits=5, params=(("qasm", VALID_QASM),))
+
+    def test_warm_upload_parses_zero_times_first_at_most_twice(self, tmp_path, qasm_parses):
+        service = service_for(tmp_path)
+        cold = service.compile_qasm(VALID_QASM, width=4)
+        assert cold.source == "compiled"
+        assert 1 <= len(qasm_parses) <= 2
+        qasm_parses.clear()
+        warm = service.compile_qasm(VALID_QASM, width=4)
+        assert warm.cached
+        assert qasm_parses == []
 
     def test_submit_qasm_requires_exactly_one_sizing(self, tmp_path):
         service = service_for(tmp_path)
