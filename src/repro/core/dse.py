@@ -13,9 +13,7 @@ picklable :class:`~repro.core.farm.WorkloadSpec` values and the grid of
 process pool (``executor="process"``) or runs through the deterministic
 serial oracle (``executor="reference"``).  Both executors produce
 identical design points — the differential suite in ``tests/test_farm.py``
-pins that.  The pre-farm closure API (``compile_fn(compiler)``) keeps
-working: :func:`sweep_array_width` accepts either a closure (compiled
-in-process, exactly the old semantics) or a :class:`WorkloadSpec`.
+pins that.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.compiler import CompilationResult, QPilotCompiler
 from repro.core.farm import (
     CompileFarm,
     FarmJob,
@@ -76,9 +73,7 @@ DEFAULT_WIDTHS: tuple[int, ...] = (8, 16, 32, 64, 128)
 class DesignPoint:
     """One candidate architecture and its compiled metrics.
 
-    Farm-produced points carry only :class:`PointMetrics` (schedules stay
-    in the worker); closure-path points also keep the full
-    :class:`CompilationResult` for backwards compatibility.
+    Points carry only :class:`PointMetrics`: schedules stay in the worker.
 
     ``status`` reports the fault-tolerance outcome of the point's compile:
     ``ok`` (first attempt succeeded), ``retried`` (succeeded after
@@ -88,18 +83,15 @@ class DesignPoint:
     but are excluded from :meth:`SweepResult.best` and
     :meth:`SweepResult.as_series`.
 
-    ``job`` is the archive → cache-warming hook: farm-produced points
-    record the grid cell that produced them (``digest``, serialised
-    ``workload`` spec and ``options``) so an archived sweep can be
-    replayed into the schedule store
-    (:meth:`repro.service.CompileService.warm_from`) under the exact
-    digests live traffic will request.  Closure-path points have no farm
-    job and leave it ``None``.
+    ``job`` is the archive → cache-warming hook: a point records the grid
+    cell that produced it (``digest``, serialised ``workload`` spec and
+    ``options``) so an archived sweep can be replayed into the schedule
+    store (:meth:`repro.service.CompileService.warm_from`) under the
+    exact digests live traffic will request.
     """
 
     width: int
     config: FPQAConfig
-    result: CompilationResult | None = None
     metrics: PointMetrics | None = None
     axes: dict[str, Any] = field(default_factory=dict)
     status: str = "ok"
@@ -112,12 +104,8 @@ class DesignPoint:
                 f"unknown design-point status {self.status!r}; "
                 f"expected one of {POINT_STATUSES}"
             )
-        if self.status == "failed":
-            return  # no metrics to derive — the compile never succeeded
-        if self.metrics is None:
-            if self.result is None:
-                raise QPilotError("DesignPoint needs a CompilationResult or PointMetrics")
-            self.metrics = PointMetrics.from_result(self.result)
+        if self.status != "failed" and self.metrics is None:
+            raise QPilotError("a compiled DesignPoint needs PointMetrics")
 
     @property
     def failed(self) -> bool:
@@ -162,15 +150,11 @@ class DesignPoint:
                 "error": (self.error or {}).get("error_type"),
             }
         else:
-            data = (
-                self.result.summary()
-                if self.result is not None
-                else {
-                    "depth": self.depth,
-                    "error_rate": round(self.error_rate, 6),
-                    "2q_gates": self.num_two_qubit_gates,
-                }
-            )
+            data = {
+                "depth": self.depth,
+                "error_rate": round(self.error_rate, 6),
+                "2q_gates": self.num_two_qubit_gates,
+            }
         data["width"] = self.width
         data.update(self.axes)
         return data
@@ -325,9 +309,6 @@ class SweepResult:
         return cls.from_dict(json.loads(text))
 
 
-WorkloadCompiler = Callable[[QPilotCompiler], CompilationResult]
-
-
 def _width_config(num_qubits: int, width: int, base_kwargs: dict, axis_kwargs: dict) -> FPQAConfig:
     return FPQAConfig.with_width(num_qubits, int(width), **{**base_kwargs, **axis_kwargs})
 
@@ -443,7 +424,7 @@ def sweep_grid(
 
 
 def sweep_array_width(
-    workload: WorkloadCompiler | WorkloadSpec,
+    workload: WorkloadSpec,
     num_qubits: int | None = None,
     *,
     widths: Sequence[int] = DEFAULT_WIDTHS,
@@ -457,51 +438,33 @@ def sweep_array_width(
     Parameters
     ----------
     workload:
-        Either a :class:`WorkloadSpec` (batched through the compile farm;
-        set ``executor="process"`` to parallelise) or, for backwards
-        compatibility, a closure receiving a :class:`QPilotCompiler`
-        already configured for one candidate width and returning the
-        compilation result.  Closures cannot cross process boundaries, so
-        they always compile serially in-process (the old semantics,
-        including full ``CompilationResult`` objects on every point).
+        The workload, batched through the compile farm (set
+        ``executor="process"`` to parallelise).
     num_qubits:
-        Number of data qubits; the row count of each candidate array is
-        derived from it.  Optional for specs (they know their size).
+        Optional cross-check of the spec's size; a contradiction raises.
     widths:
         Candidate column counts (the paper sweeps 8..128).
     """
-    if isinstance(workload, WorkloadSpec):
-        if num_qubits is not None and num_qubits != workload.num_qubits:
-            raise QPilotError(
-                f"num_qubits={num_qubits} contradicts the workload spec's "
-                f"{workload.num_qubits} qubits; specs carry their own size"
-            )
-        sweep = sweep_grid(
-            workload,
-            widths=widths,
-            base_config_kwargs=base_config_kwargs,
-            executor=executor,
-            max_workers=max_workers,
-            name=workload_name or workload.name,
+    if num_qubits is not None and num_qubits != workload.num_qubits:
+        raise QPilotError(
+            f"num_qubits={num_qubits} contradicts the workload spec's "
+            f"{workload.num_qubits} qubits; specs carry their own size"
         )
-        for point in sweep.points:
-            point.axes.pop("workload", None)
-        return sweep
-
-    if num_qubits is None:
-        raise QPilotError("num_qubits is required with a closure-based workload")
-    base_kwargs = base_config_kwargs or {}
-    result = SweepResult(workload_name=workload_name or "workload")
-    for width in widths:
-        config = FPQAConfig.with_width(num_qubits, int(width), **base_kwargs)
-        compiler = QPilotCompiler(config)
-        compilation = workload(compiler)
-        result.points.append(DesignPoint(width=int(width), config=config, result=compilation))
-    return result
+    sweep = sweep_grid(
+        workload,
+        widths=widths,
+        base_config_kwargs=base_config_kwargs,
+        executor=executor,
+        max_workers=max_workers,
+        name=workload_name or workload.name,
+    )
+    for point in sweep.points:
+        point.axes.pop("workload", None)
+    return sweep
 
 
 def architecture_search(
-    workload: WorkloadCompiler | WorkloadSpec,
+    workload: WorkloadSpec,
     num_qubits: int | None = None,
     *,
     widths: Sequence[int] = DEFAULT_WIDTHS,

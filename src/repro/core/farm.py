@@ -1,77 +1,53 @@
-"""Compile-farm: batched, parallel router-in-the-loop compilation.
+"""Compile farm: batched, parallel router-in-the-loop compilation.
 
 Design-space exploration (the Fig. 14 study) recompiles the *same*
-workload against many candidate FPQA configurations.  After PRs 1-3 made
-each single compile fast, the remaining order of magnitude comes from
-batching: a sweep is an embarrassingly parallel grid of independent
-compilations, so the farm fans them out across a
-:class:`concurrent.futures.ProcessPoolExecutor`.
-
-Three pieces make that possible:
+workload against many candidate FPQA configurations: an embarrassingly
+parallel grid of independent compilations.  Three pieces describe it:
 
 * :class:`WorkloadSpec` — a declarative, picklable description of one
-  workload (random circuit / Pauli strings / QAOA graph).  The heavy
-  workload object is built *lazily inside the worker process* from a few
-  scalars, so jobs cross process boundaries as tiny messages instead of
-  pickled circuits.  Specs replace the closure-only ``compile_fn`` API
-  (closures cannot be pickled); the legacy closure path survives as a
-  compatibility shim in :func:`repro.core.dse.sweep_array_width`.
+  workload (random circuit, Pauli strings, QAOA graph, uploaded QASM,
+  surface code, molecule).  The heavy workload object is built lazily
+  inside the worker from a few scalars, so jobs cross process boundaries
+  as tiny messages.
 * :class:`FarmJob` — one grid cell: ``(WorkloadSpec, FPQAConfig,
-  FarmOptions)``.  Duplicate cells are memoised by a
-  ``(workload fingerprint, config, options)`` key and compiled once.
-* :class:`CompileFarm` — the executor.  ``executor="process"`` fans jobs
-  across worker processes; ``executor="reference"`` is the deterministic
-  in-process serial backend that runs the *same* job function in
-  submission order — the oracle the differential suite pins the parallel
-  backend against (the ROADMAP oracle pattern applied to batching).
+  FarmOptions)``.  Duplicate cells share a ``(workload fingerprint,
+  config, options)`` memo key and compile once.
+* :class:`CompileFarm` — runs a list of jobs and streams ``(index,
+  result)`` pairs (:meth:`CompileFarm.iter_results`; ``run`` drains it
+  into submission order).
 
-Per-config immutables are shared, not re-built per job: every worker
-process warms the gate-matrix ``lru_cache`` in its initialiser and keeps
-module-level caches of built workloads (keyed by fingerprint) and SABRE
-routers (whose all-pairs distance matrix is the expensive part), so a
-sweep of W widths pays for each workload build and each distance matrix
-once per worker instead of once per grid cell.
+Every worker keeps module-level caches of built workloads and SABRE
+routers, so a sweep of W widths pays for each workload build and each
+distance matrix once per worker, not once per grid cell.
 
-Two service-facing extensions (PR 5) ride on the same job model:
+**One attempt loop.**  A run keeps a per-slot ledger: each unique job
+(a *slot*) has its job, its result indices, its loosest deadline and its
+failure count, and the ledger alone decides what happens to it.  A
+failed attempt retries with seeded exponential backoff or, once the
+:class:`FarmPolicy` retry budget is spent, finalises as a
+:class:`FarmJobError` record (yielded, never raised, so one poisoned
+cell cannot take down the sweep).  Before every attempt a slot whose
+deadline has passed is cooperatively cancelled; an in-flight attempt
+past its deadline is abandoned — the caller never waits for it — and
+expires the same terminal way, while a ``timeout_s`` overrun retries.
 
-* ``executor="thread"`` fans jobs across a
-  :class:`~concurrent.futures.ThreadPoolExecutor` — no process-spawn or
-  pickling cost, which suits a long-lived compile service whose traffic
-  is dominated by cache lookups and other IO.  It joins the same
-  executor-oracle differential suite as the process backend.
-* :meth:`CompileFarm.iter_results` streams ``(index, result)`` pairs as
-  jobs finish instead of materialising the whole grid, so sweeps too
-  large to hold in memory can be consumed incrementally
-  (``sweep_grid(..., stream=True)`` builds on it).  ``run`` is a thin
-  order-restoring wrapper around it.
+Attempts run on one of two backends.  The *inline* backend is the loop
+calling the job itself, one attempt per round in submission order (a
+retry runs at once): ``executor="reference"``, the deterministic oracle
+the differential suite pins every pooled backend against.  The *pool*
+backend submits them to a thread or process pool
+(``executor="thread"``/``"process"``), waits with each attempt's due
+time, and respawns a pool that a dead worker broke, charging the crash
+to every in-flight job in slot order.  When the respawn budget is
+exhausted the run *degrades*: the unresolved slots move to the inline
+backend inside the same loop, so the sweep always completes.
 
-Fault tolerance (PR 6): a sweep must survive partial failure — a worker
-death previously raised ``BrokenProcessPool`` out of ``iter_results``
-and lost the whole grid.  :class:`FarmPolicy` configures per-job
-``timeout_s``, bounded retries with exponential backoff and seeded
-jitter, and ``max_pool_respawns``.  The executor loop recovers a broken
-process pool by respawning it once and resubmitting only the unfinished
-jobs (memoised results are kept); when the respawn budget is exhausted
-it *degrades* to the in-process reference executor so the sweep always
-completes.  A job that exhausts its retry budget yields a
-:class:`FarmJobError` record instead of raising, so one poisoned grid
-cell cannot take down its neighbours.  The degradation ladder is
-pinned by the chaos differential suite (``tests/test_faults.py``): with
-a seeded :class:`~repro.utils.faults.FaultPlan` attached to
-:class:`FarmOptions` (default off — zero overhead), a recovered run is
-byte-identical to the fault-free ``reference`` run.
-
-Overload robustness (PR 8): the serving layer propagates end-to-end
-request deadlines into the farm as *relative* per-job budgets
-(``iter_results(..., deadlines=...)``).  A job whose budget is already
-spent when the dispatch loop reaches it is **cooperatively cancelled**
-before it touches an executor — its slot finalises as a
-:class:`FarmJobError` wrapping :class:`~repro.exceptions.DeadlineExceeded`
-with no retries, so shed or expired work never burns a worker.  An
-in-flight job whose deadline passes is abandoned the same way (terminal,
-unlike a ``timeout_s`` overrun, which retries).  The ``stall-dispatch``
-fault kind sleeps in the dispatch loop itself, which is how the overload
-chaos suite forces deterministic expiries and breaker trips.
+Faults are data: a seeded :class:`~repro.utils.faults.FaultPlan` on
+:class:`FarmOptions` (default off, zero overhead) makes every failure
+path reproducible, and the chaos suite (``tests/test_faults.py``) pins
+that a recovered run is byte-identical to the fault-free ``reference``
+run.  The ``stall-dispatch`` fault sleeps in the loop itself, which is
+how the overload suite forces deterministic expiries.
 """
 
 from __future__ import annotations
@@ -82,6 +58,7 @@ import logging
 import os
 import time
 import traceback as traceback_module
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -947,18 +924,16 @@ def compile_farm_job_with_schedule(job: FarmJob, attempt: int = 0) -> FarmJobRes
 # ---------------------------------------------------------------------------
 # Executor side.
 
-#: Executor backends: the serial one is the deterministic oracle the
-#: differential suite pins the pooled backends against.  ``thread`` keeps
-#: everything in-process (no spawn/pickle cost — the compile-service
-#: backend); ``process`` fans across worker processes.
-EXECUTORS = ("reference", "serial", "process", "parallel", "thread", "threads")
+#: Executor backends.  ``reference`` is the deterministic in-process oracle
+#: the differential suite pins the pooled backends against; ``process``
+#: fans jobs across worker processes.  ``thread`` adds no parallelism (the
+#: compiler is pure Python under the GIL) but stays: it is the only
+#: in-process backend that can return before an overdue attempt finishes,
+#: because an abandoned attempt keeps its worker thread, not the caller.
+EXECUTORS = ("reference", "process", "thread")
 
-#: Aliases accepted by :class:`CompileFarm` -> canonical backend name.
-_EXECUTOR_ALIASES = {
-    "serial": "reference",
-    "parallel": "process",
-    "threads": "thread",
-}
+#: ``last_stats`` fault-tolerance counters, in report order.
+_RUN_COUNTERS = ("retries", "pool_respawns", "timeouts", "failed_jobs", "expired")
 
 
 def available_workers() -> int:
@@ -971,6 +946,210 @@ def available_workers() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # platforms without sched_getaffinity
         return max(1, os.cpu_count() or 1)
+
+
+class _Ledger:
+    """Per-slot record of one run, and the only place a slot's fate is decided.
+
+    A *slot* is one unique job; memoised duplicates share it.  Each slot
+    has its job, the result indices it fills, its loosest deadline and its
+    failure count.  ``todo`` queues the slots awaiting a first attempt and
+    ``retry`` the slots charged a failure, in the order charged; retries go
+    first (:meth:`next_slot`).  A slot leaves the run through exactly one
+    of :meth:`report`, :meth:`expire` or a finalising
+    :meth:`attempt_failed`, each of which returns the ``(index, result)``
+    pairs to yield.
+    """
+
+    def __init__(
+        self, jobs: list[FarmJob], deadlines: list[float | None] | None, policy: FarmPolicy
+    ):
+        self.policy = policy
+        self.jobs: list[FarmJob] = []
+        self.indices: list[list[int]] = []
+        slots: dict[tuple, int] = {}
+        for index, job in enumerate(jobs):
+            slot = slots.setdefault(job.key(), len(self.jobs))
+            if slot == len(self.jobs):
+                self.jobs.append(job)
+                self.indices.append([])
+            self.indices[slot].append(index)
+        # absolute deadlines from the start of the run; duplicates share
+        # the loosest budget (None = unbounded)
+        start = time.monotonic()
+        self.deadline_at: list[float | None] = [None] * len(self.jobs)
+        for slot, indices in enumerate(self.indices if deadlines is not None else ()):
+            budgets = [deadlines[i] for i in indices]
+            if all(budget is not None for budget in budgets):
+                self.deadline_at[slot] = start + max(budgets)
+        self.failures = [0] * len(self.jobs)
+        self.todo = deque(range(len(self.jobs)))
+        self.retry: deque[int] = deque()
+        self.reports: dict[int, dict[str, Any]] = {}
+        self.counters = dict.fromkeys(_RUN_COUNTERS, 0)
+
+    def waiting(self) -> int:
+        return len(self.retry) + len(self.todo)
+
+    def next_slot(self) -> int:
+        """The next slot to attempt: a retried one (inline, the same job
+        again at once; pooled, the order the failures were charged) before
+        any first attempt."""
+        return (self.retry or self.todo).popleft()
+
+    def expired_at_dispatch(self, slot: int) -> bool:
+        """Deadline check before an attempt, after any ``stall-dispatch`` sleep.
+
+        The stall burns the job's own budget: the overload suite's
+        deterministic lever for expiries.
+        """
+        job = self.jobs[slot]
+        if job.options.faults is not None:
+            stall = job.options.faults.fire_duration(
+                STALL_DISPATCH, job.fault_key(), self.failures[slot]
+            )
+            if stall > 0:
+                time.sleep(stall)
+        deadline_at = self.deadline_at[slot]
+        return deadline_at is not None and time.monotonic() >= deadline_at
+
+    def report(self, slot: int, result: Any) -> list[tuple[int, Any]]:
+        """Record a slot's terminal outcome in ``job_reports``."""
+        if isinstance(result, FarmJobError):
+            self.counters["failed_jobs"] += 1
+            entry = {"status": "failed", "attempts": result.attempts, "error": result.to_dict()}
+        else:
+            failures = self.failures[slot]
+            status = "retried" if failures else "ok"
+            entry = {"status": status, "attempts": failures + 1, "error": None}
+        for index in self.indices[slot]:
+            self.reports[index] = entry
+        return [(index, result) for index in self.indices[slot]]
+
+    def _finalise(self, slot: int, exc: BaseException) -> list[tuple[int, Any]]:
+        key = self.jobs[slot].fault_key()
+        return self.report(
+            slot, FarmJobError.from_exception(exc, attempts=self.failures[slot], fault_key=key)
+        )
+
+    def expire(self, slot: int) -> list[tuple[int, Any]]:
+        """End a slot whose deadline passed: terminal, no retries."""
+        self.counters["expired"] += 1
+        job = self.jobs[slot]
+        log_event(logger, "job-expired", job=job.fault_key(), failures=self.failures[slot])
+        return self._finalise(slot, DeadlineExceeded(
+            f"farm job {job.fault_key()!r} deadline expired before completion",
+            digest=job.digest(),
+        ))
+
+    def overdue(self, slot: int) -> list[tuple[int, Any]]:
+        """An abandoned in-flight attempt: it expires past the slot's own
+        deadline, while a ``timeout_s`` overrun is a failed attempt."""
+        deadline_at = self.deadline_at[slot]
+        if deadline_at is not None and deadline_at <= time.monotonic():
+            return self.expire(slot)
+        self.counters["timeouts"] += 1
+        return self.attempt_failed(slot, TimeoutError(
+            f"farm job {self.jobs[slot].fault_key()!r} exceeded "
+            f"timeout_s={self.policy.timeout_s}"
+        ))
+
+    def attempt_failed(self, slot: int, exc: BaseException) -> list[tuple[int, Any]]:
+        """Charge one failed attempt: requeue the slot after backoff, or finalise it."""
+        self.failures[slot] += 1
+        failures = self.failures[slot]
+        key = self.jobs[slot].fault_key()
+        if failures > self.policy.max_retries:
+            log_event(logger, "job-failed", job=key, attempts=failures, error=type(exc).__name__)
+            return self._finalise(slot, exc)
+        self.counters["retries"] += 1
+        log_event(logger, "job-retry", job=key, failures=failures, error=type(exc).__name__)
+        delay = self.policy.backoff_s(key, failures)
+        if delay:
+            time.sleep(delay)
+        self.retry.append(slot)
+        return []
+
+
+class _PoolBackend:
+    """Runs attempts on a thread or process pool, each with a due time.
+
+    An attempt is due at the earlier of its ``timeout_s`` (counted from
+    submission) and its slot's deadline.  An overdue attempt is abandoned:
+    cancelled if still queued, otherwise left to finish unobserved.
+    """
+
+    def __init__(self, kind: str, workers: int, job_fn, ledger: _Ledger):
+        self.kind = kind
+        self.workers = workers
+        self.job_fn = job_fn
+        self.ledger = ledger
+        self.futures: dict[Future, int] = {}
+        self.due: dict[Future, float] = {}
+        self.abandoned: list[Future] = []
+        self.pool = self._new_pool()
+
+    def _new_pool(self):
+        if self.kind == "thread":
+            _worker_init()  # threads share this process's gate-matrix caches
+            return ThreadPoolExecutor(max_workers=self.workers)
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_worker_init, initargs=(True,)
+        )
+
+    def submit(self, slot: int) -> None:
+        ledger = self.ledger
+        future = self.pool.submit(self.job_fn, ledger.jobs[slot], ledger.failures[slot])
+        self.futures[future] = slot
+        timeout_s = ledger.policy.timeout_s
+        timeout_at = None if timeout_s is None else time.monotonic() + timeout_s
+        due = [at for at in (timeout_at, ledger.deadline_at[slot]) if at is not None]
+        if due:
+            self.due[future] = min(due)
+
+    def collect(self) -> tuple[list[tuple[int, Any, BaseException | None]], list[int]]:
+        """Wait for the first finished attempt or the first due time.
+
+        Returns the finished attempts as ``(slot, result, exception)``,
+        successes first (when the pool breaks, completed results must land
+        before the crash is charged to the rest), and the slots abandoned
+        as overdue.
+        """
+        timeout = None
+        if self.due:
+            timeout = max(0.005, min(self.due.values()) - time.monotonic())
+        done, _ = wait(list(self.futures), timeout=timeout, return_when=FIRST_COMPLETED)
+        if not done:
+            now = time.monotonic()
+            overdue = [future for future, at in self.due.items() if at <= now]
+            for future in overdue:
+                del self.due[future]
+                future.cancel()
+                self.abandoned.append(future)
+            return [], [self.futures.pop(future) for future in overdue]
+        finished = []
+        for future in sorted(done, key=lambda f: f.exception() is not None):
+            self.due.pop(future, None)
+            exc = future.exception()
+            finished.append((self.futures.pop(future), None if exc else future.result(), exc))
+        return finished, []
+
+    def drop_in_flight(self) -> list[int]:
+        """Forget every in-flight attempt (the pool died with them)."""
+        slots = list(self.futures.values())
+        self.futures.clear()
+        self.due.clear()
+        return slots
+
+    def respawn(self) -> None:
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        self.pool = self._new_pool()
+
+    def close(self) -> None:
+        """Cancel queued attempts; wait for the workers only when none is busy,
+        so an abandoned attempt never holds the caller."""
+        busy = any(not future.done() for future in [*self.futures, *self.abandoned])
+        self.pool.shutdown(wait=not busy, cancel_futures=True)
 
 
 class CompileFarm:
@@ -987,10 +1166,10 @@ class CompileFarm:
     retry with seeded exponential backoff, overdue pooled jobs time out
     and retry, a broken process pool is respawned (resubmitting only the
     unfinished jobs), and once the respawn budget is exhausted the rest
-    of the run degrades to the in-process reference path.  A job that
-    exhausts its retries lands as a :class:`FarmJobError` in its result
-    slot — exceptions never escape :meth:`iter_results`.  ``job_reports``
-    maps each job index of the last run to its ``status``
+    of the run degrades to the in-process backend.  A job that exhausts
+    its retries lands as a :class:`FarmJobError` in its result slot —
+    exceptions never escape :meth:`iter_results`.  ``job_reports`` maps
+    each job index of the last run to its ``status``
     (``ok``/``retried``/``failed``), attempt count and error record.
     """
 
@@ -1004,7 +1183,7 @@ class CompileFarm:
     ):
         if executor not in EXECUTORS:
             raise QPilotError(f"unknown farm executor {executor!r}; expected one of {EXECUTORS}")
-        self.executor = _EXECUTOR_ALIASES.get(executor, executor)
+        self.executor = executor
         self.max_workers = max_workers
         self.policy = policy or FarmPolicy()
         #: Optional metrics sink: cumulative ``farm_*`` counters across
@@ -1021,71 +1200,12 @@ class CompileFarm:
         registry.counter("farm_runs_total").inc()
         registry.counter("farm_jobs_total").inc(stats["num_jobs"])
         registry.counter("farm_unique_jobs_total").inc(stats["num_unique_jobs"])
-        for name in ("retries", "pool_respawns", "timeouts", "failed_jobs", "expired"):
+        for name in _RUN_COUNTERS:
             if stats[name]:
                 registry.counter(f"farm_{name}_total").inc(stats[name])
         if stats["degraded"]:
             registry.counter("farm_degraded_total").inc()
         registry.histogram("farm_run_wall_seconds").observe(stats["wall_s"])
-
-    def _new_pool(self, backend: str, workers: int):
-        if backend == "thread":
-            _worker_init()  # threads share this process's gate-matrix caches
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(True,)
-        )
-
-    def _stall_dispatch(self, job: FarmJob, attempt: int) -> None:
-        """Fire a ``stall-dispatch`` fault: sleep in the dispatch loop.
-
-        Runs *before* the deadline check at each (re)submission site, so
-        a stalled dispatch burns the job's own budget — the overload
-        chaos suite's deterministic lever for deadline expiries.
-        """
-        plan = job.options.faults
-        if plan is None:
-            return
-        duration = plan.fire_duration(STALL_DISPATCH, job.fault_key(), attempt)
-        if duration > 0:
-            time.sleep(duration)
-
-    def _run_job_with_retry(
-        self, job_fn, job: FarmJob, failures: int, counters: dict[str, int]
-    ) -> tuple[Any, int]:
-        """In-process attempt loop (reference backend and degraded mode).
-
-        Starts from ``failures`` already on the job's ledger (pool
-        crashes that preceded degradation) but always makes at least one
-        attempt, so a degraded run finishes every job one way or the
-        other.  Returns ``(result-or-FarmJobError, total failures)``.
-        """
-        policy = self.policy
-        key = job.fault_key()
-        while True:
-            try:
-                return job_fn(job, failures), failures
-            except Exception as exc:
-                failures += 1
-                if failures > policy.max_retries:
-                    log_event(
-                        logger,
-                        "job-failed",
-                        job=key,
-                        attempts=failures,
-                        error=type(exc).__name__,
-                    )
-                    return (
-                        FarmJobError.from_exception(exc, attempts=failures, fault_key=key),
-                        failures,
-                    )
-                counters["retries"] += 1
-                log_event(
-                    logger, "job-retry", job=key, failures=failures, error=type(exc).__name__
-                )
-                delay = policy.backoff_s(key, failures)
-                if delay:
-                    time.sleep(delay)
 
     def iter_results(
         self,
@@ -1102,7 +1222,8 @@ class CompileFarm:
         the ``reference`` oracle in submission order — every *pair* is
         deterministic either way, only the interleaving differs.  Grids
         too large to hold as a list can be consumed incrementally;
-        ``last_stats`` is populated once the iterator is exhausted.
+        ``last_stats`` is populated once the iterator is exhausted or
+        closed.
 
         With ``with_schedules=True`` each successful result is a
         :class:`FarmJobResult` carrying the canonical schedule dict.  A
@@ -1112,15 +1233,12 @@ class CompileFarm:
         per-job status/attempts picture as soon as the pair is yielded.
 
         ``deadlines`` gives each job a *relative* wall-clock budget in
-        seconds from the start of this call (None = no deadline; the
-        service derives these from request ``deadline_s``).  A job whose
-        budget expires before it is submitted is cooperatively cancelled
-        — finalised as a :class:`FarmJobError` wrapping
-        :class:`~repro.exceptions.DeadlineExceeded`, no executor time, no
-        retries — and an in-flight job past its deadline is abandoned
-        the same terminal way (a ``timeout_s`` overrun, by contrast,
-        retries).  Duplicate jobs share the *loosest* of their budgets;
-        waiters with tighter deadlines are expired by the service layer.
+        seconds from the start of this call (None = no deadline).  A job
+        past its budget — before an attempt or in flight — finalises as a
+        :class:`FarmJobError` wrapping
+        :class:`~repro.exceptions.DeadlineExceeded`, without retries.
+        Duplicate jobs share the *loosest* of their budgets; waiters with
+        tighter deadlines are expired by the service layer.
         """
         jobs = list(jobs)
         if deadlines is not None:
@@ -1129,291 +1247,109 @@ class CompileFarm:
                 raise QPilotError(
                     f"deadlines must match jobs: got {len(deadlines)} for {len(jobs)} jobs"
                 )
-        unique: dict[tuple, int] = {}
-        unique_jobs: list[FarmJob] = []
-        indices_by_unique: list[list[int]] = []
-        for index, job in enumerate(jobs):
-            key = job.key()
-            if key not in unique:
-                unique[key] = len(unique_jobs)
-                unique_jobs.append(job)
-                indices_by_unique.append([])
-            indices_by_unique[unique[key]].append(index)
-
-        job_fn = compile_farm_job_with_schedule if with_schedules else compile_farm_job
         policy = self.policy
-        self.job_reports = {}
-        counters = {
-            "retries": 0,
-            "pool_respawns": 0,
-            "timeouts": 0,
-            "failed_jobs": 0,
-            "expired": 0,
-        }
-        failures = [0] * len(unique_jobs)
+        ledger = _Ledger(jobs, deadlines, policy)
+        self.job_reports = ledger.reports
+        job_fn = compile_farm_job_with_schedule if with_schedules else compile_farm_job
+        # a single unique job gains nothing from a pool; run it inline and
+        # report the backend that actually ran
+        name, workers, pool = "reference", 1, None
+        if self.executor != "reference" and len(ledger.jobs) > 1:
+            name = self.executor
+            workers = min(self.max_workers or available_workers(), len(ledger.jobs))
+            pool = _PoolBackend(name, workers, job_fn, ledger)
+        respawns = 0
         degraded = False
-
-        # absolute per-slot deadlines, measured from the start of this
-        # call; duplicates share the loosest budget (None = unbounded)
-        t0 = time.monotonic()
-        slot_deadline_at: list[float | None] = [None] * len(unique_jobs)
-        if deadlines is not None:
-            for slot, indices in enumerate(indices_by_unique):
-                budgets = [deadlines[i] for i in indices]
-                if all(budget is not None for budget in budgets):
-                    slot_deadline_at[slot] = t0 + max(budgets)
-
-        def report(slot: int, result: Any) -> list[tuple[int, Any]]:
-            """Record a slot's terminal outcome; return its (index, result) pairs."""
-            if isinstance(result, FarmJobError):
-                counters["failed_jobs"] += 1
-                entry = {
-                    "status": "failed",
-                    "attempts": result.attempts,
-                    "error": result.to_dict(),
-                }
-            else:
-                entry = {
-                    "status": "retried" if failures[slot] else "ok",
-                    "attempts": failures[slot] + 1,
-                    "error": None,
-                }
-            for index in indices_by_unique[slot]:
-                self.job_reports[index] = entry
-            return [(index, result) for index in indices_by_unique[slot]]
-
-        def expire_slot(slot: int) -> list[tuple[int, Any]]:
-            """Finalise a slot whose deadline passed: terminal, no retries."""
-            counters["expired"] += 1
-            job = unique_jobs[slot]
-            log_event(logger, "job-expired", job=job.fault_key(), failures=failures[slot])
-            exc = DeadlineExceeded(
-                f"farm job {job.fault_key()!r} deadline expired before completion",
-                digest=job.digest(),
-            )
-            record = FarmJobError.from_exception(
-                exc, attempts=failures[slot], fault_key=job.fault_key()
-            )
-            return report(slot, record)
-
-        def dispatch_expired(slot: int) -> bool:
-            """Cooperative-cancellation check at a (re)submission site."""
-            at = slot_deadline_at[slot]
-            return at is not None and time.monotonic() >= at
-
         start = time.perf_counter()
-        if self.executor == "reference" or len(unique_jobs) <= 1:
-            # A single unique job gains nothing from a pool; run it
-            # in-process and report the backend that actually ran.
-            backend, workers = "reference", 1
-            for slot, job in enumerate(unique_jobs):
-                self._stall_dispatch(job, failures[slot])
-                if dispatch_expired(slot):
-                    for pair in expire_slot(slot):
-                        yield pair
+        try:
+            while ledger.waiting() or (pool is not None and pool.futures):
+                events: list[tuple[int, Any]] = []
+                if pool is None:
+                    # inline backend: one attempt per round, so a stream
+                    # stays lazy
+                    slot = ledger.next_slot()
+                    if ledger.expired_at_dispatch(slot):
+                        events = ledger.expire(slot)
+                    else:
+                        try:
+                            result = job_fn(ledger.jobs[slot], ledger.failures[slot])
+                        except Exception as exc:
+                            events = ledger.attempt_failed(slot, exc)
+                        else:
+                            events = ledger.report(slot, result)
+                    yield from events
                     continue
-                result, failures[slot] = self._run_job_with_retry(
-                    job_fn, job, failures[slot], counters
-                )
-                for pair in report(slot, result):
-                    yield pair
-        else:
-            backend = self.executor
-            workers = min(self.max_workers or available_workers(), len(unique_jobs))
-            pool = self._new_pool(backend, workers)
-            pending: dict[Future, int] = {}
-            future_deadlines: dict[Future, float] = {}
-            unresolved = set(range(len(unique_jobs)))
-            respawns = 0
-
-            def submit(slot: int) -> list[tuple[int, Any]]:
-                """(Re)submit a slot — or cooperatively cancel it if expired."""
-                self._stall_dispatch(unique_jobs[slot], failures[slot])
-                if dispatch_expired(slot):
-                    unresolved.discard(slot)
-                    return expire_slot(slot)
-                future = pool.submit(job_fn, unique_jobs[slot], failures[slot])
-                pending[future] = slot
-                now = time.monotonic()
-                candidates = []
-                if policy.timeout_s is not None:
-                    candidates.append(now + policy.timeout_s)
-                if slot_deadline_at[slot] is not None:
-                    candidates.append(slot_deadline_at[slot])
-                if candidates:
-                    future_deadlines[future] = min(candidates)
-                return []
-
-            def register_failure(slot: int, exc: BaseException) -> list[tuple[int, Any]]:
-                """One failed attempt: retry with backoff, or finalise the slot."""
-                nonlocal degraded
-                failures[slot] += 1
-                key = unique_jobs[slot].fault_key()
-                if failures[slot] > policy.max_retries:
-                    unresolved.discard(slot)
-                    log_event(
-                        logger,
-                        "job-failed",
-                        job=key,
-                        attempts=failures[slot],
-                        error=type(exc).__name__,
-                    )
-                    record = FarmJobError.from_exception(
-                        exc, attempts=failures[slot], fault_key=key
-                    )
-                    return report(slot, record)
-                counters["retries"] += 1
-                log_event(
-                    logger, "job-retry", job=key, failures=failures[slot], error=type(exc).__name__
-                )
-                delay = policy.backoff_s(unique_jobs[slot].fault_key(), failures[slot])
-                if delay:
-                    time.sleep(delay)
-                try:
-                    return submit(slot)
-                except BrokenExecutor:
-                    degraded = True  # no pool left to retry on; drain inline
-                return []
-
-            try:
-                initial_events: list[tuple[int, Any]] = []
-                try:
-                    for slot in range(len(unique_jobs)):
-                        initial_events.extend(submit(slot))
-                except BrokenExecutor:
-                    degraded = True  # pool unusable from the start
-                for pair in initial_events:
-                    yield pair
-                while unresolved:
-                    if degraded:
-                        # respawn budget exhausted: finish the remaining
-                        # jobs on the in-process reference path so the
-                        # sweep completes (memoised results are kept)
+                # pool backend: submit every waiting slot, then wait for one
+                # finished attempt or the first due time
+                broken: list[tuple[int, BaseException]] = []
+                while ledger.waiting():
+                    slot = ledger.next_slot()
+                    if ledger.expired_at_dispatch(slot):
+                        events += ledger.expire(slot)
+                        continue
+                    try:
+                        pool.submit(slot)
+                    except BrokenExecutor as exc:
+                        broken.append((slot, exc))
+                finished, overdue = pool.collect()
+                for slot in overdue:
+                    events += ledger.overdue(slot)
+                for slot, result, exc in finished:
+                    if exc is None:
+                        events += ledger.report(slot, result)
+                    elif isinstance(exc, BrokenExecutor):
+                        broken.append((slot, exc))
+                    else:
+                        events += ledger.attempt_failed(slot, exc)
+                if broken:
+                    # the pool died and every in-flight job with it; the
+                    # crash counts as one failed attempt for each, charged
+                    # in slot order (the crasher is indeterminate, and
+                    # charging all of them keeps a determined crasher from
+                    # respawning the pool at the same attempt number forever)
+                    broken += [
+                        (slot, BrokenExecutor("process pool died with this job in flight"))
+                        for slot in pool.drop_in_flight()
+                    ]
+                    broken.sort(key=lambda item: item[0])
+                    if respawns < policy.max_pool_respawns:
+                        respawns += 1
+                        ledger.counters["pool_respawns"] += 1
+                        log_event(logger, "pool-respawn", respawns=respawns, in_flight=len(broken))
+                        pool.respawn()
+                        for slot, exc in broken:
+                            events += ledger.attempt_failed(slot, exc)
+                    else:
+                        # respawn budget exhausted: degrade by moving every
+                        # unresolved slot to the inline backend, where the
+                        # crash fault cannot fire and the run always ends
+                        for slot, _ in broken:
+                            ledger.failures[slot] += 1
+                        unresolved = {*ledger.retry, *ledger.todo, *(s for s, _ in broken)}
+                        ledger.retry, ledger.todo = deque(), deque(sorted(unresolved))
                         log_event(
-                            logger,
-                            "farm-degraded",
-                            remaining=len(unresolved),
-                            respawns=respawns,
+                            logger, "farm-degraded", remaining=len(ledger.todo), respawns=respawns
                         )
-                        for slot in sorted(unresolved):
-                            self._stall_dispatch(unique_jobs[slot], failures[slot])
-                            if dispatch_expired(slot):
-                                for pair in expire_slot(slot):
-                                    yield pair
-                                continue
-                            result, failures[slot] = self._run_job_with_retry(
-                                job_fn, unique_jobs[slot], failures[slot], counters
-                            )
-                            for pair in report(slot, result):
-                                yield pair
-                        unresolved.clear()
-                        break
-                    if not pending:
-                        degraded = True  # nothing in flight yet jobs remain
-                        continue
-                    timeout = None
-                    if future_deadlines:
-                        timeout = max(0.005, min(future_deadlines.values()) - time.monotonic())
-                    done, _ = wait(list(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-                    events: list[tuple[int, Any]] = []
-                    if not done:
-                        # overdue jobs: queued ones are cancelled, running
-                        # ones abandoned (their late results are discarded).
-                        # A job past its *own* deadline expires terminally;
-                        # a policy ``timeout_s`` overrun is a failed attempt
-                        # and retries apply
-                        now = time.monotonic()
-                        overdue = [
-                            future
-                            for future, deadline in future_deadlines.items()
-                            if future in pending and deadline <= now
-                        ]
-                        for future in overdue:
-                            slot = pending.pop(future)
-                            future_deadlines.pop(future, None)
-                            future.cancel()
-                            slot_at = slot_deadline_at[slot]
-                            if slot_at is not None and slot_at <= now:
-                                unresolved.discard(slot)
-                                events.extend(expire_slot(slot))
-                                continue
-                            counters["timeouts"] += 1
-                            exc = TimeoutError(
-                                f"farm job {unique_jobs[slot].fault_key()!r} exceeded "
-                                f"timeout_s={policy.timeout_s}"
-                            )
-                            events.extend(register_failure(slot, exc))
-                        for pair in events:
-                            yield pair
-                        continue
-                    # successes first: when a pool breaks, completed results
-                    # must land before the crash sweep resubmits survivors
-                    ordered = sorted(
-                        done,
-                        key=lambda f: 0 if (not f.cancelled() and f.exception() is None) else 1,
-                    )
-                    broken: list[tuple[int, BaseException]] = []
-                    for future in ordered:
-                        slot = pending.pop(future, None)
-                        future_deadlines.pop(future, None)
-                        if slot is None or future.cancelled():
-                            continue  # abandoned after timeout, or cancelled
-                        exc = future.exception()
-                        if exc is None:
-                            unresolved.discard(slot)
-                            events.extend(report(slot, future.result()))
-                        elif isinstance(exc, BrokenExecutor):
-                            broken.append((slot, exc))
-                        else:
-                            events.extend(register_failure(slot, exc))
-                    if broken:
-                        # the pool is dead and every in-flight job died with
-                        # it; the crash counts as one failed attempt for each
-                        # (the crasher is indeterminate, and charging all of
-                        # them keeps a determined crasher from respawning the
-                        # pool at the same attempt number forever)
-                        for future, slot in pending.items():
-                            broken.append(
-                                (slot, BrokenExecutor("process pool died with this job in flight"))
-                            )
-                        pending.clear()
-                        future_deadlines.clear()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        if respawns < policy.max_pool_respawns:
-                            respawns += 1
-                            counters["pool_respawns"] += 1
-                            log_event(
-                                logger,
-                                "pool-respawn",
-                                respawns=respawns,
-                                in_flight=len(broken),
-                            )
-                            pool = self._new_pool(backend, workers)
-                            for slot, exc in broken:
-                                events.extend(register_failure(slot, exc))
-                        else:
-                            degraded = True
-                            for slot, _ in broken:
-                                failures[slot] += 1
-                    for pair in events:
-                        yield pair
-            finally:
-                # an abandoned stream (consumer closed the generator early)
-                # must cancel the queued remainder of the grid, not compile it
-                pool.shutdown(wait=True, cancel_futures=True)
-        wall = time.perf_counter() - start
-
-        self.last_stats = {
-            "executor": backend,
-            "requested_executor": self.executor,
-            "num_jobs": len(jobs),
-            "num_unique_jobs": len(unique_jobs),
-            "wall_s": wall,
-            "max_workers": workers,
-            "degraded": degraded,
-            **counters,
-        }
-        self._record_run_stats(self.last_stats)
+                        pool.close()
+                        pool = None
+                        degraded = True
+                yield from events
+        finally:
+            # an early close cancels the queued remainder of the grid and
+            # still records what the run did so far
+            if pool is not None:
+                pool.close()
+            self.last_stats = {
+                "executor": name,
+                "requested_executor": self.executor,
+                "num_jobs": len(jobs),
+                "num_unique_jobs": len(ledger.jobs),
+                "wall_s": time.perf_counter() - start,
+                "max_workers": workers,
+                "degraded": degraded,
+                **ledger.counters,
+            }
+            self._record_run_stats(self.last_stats)
 
     def run(
         self,

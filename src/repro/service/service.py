@@ -1060,33 +1060,38 @@ class CompileService:
                 ]
             self._c_farm_dispatches.inc(len(jobs))
             if jobs:
-                for index, result in self.farm.iter_results(
-                    jobs, with_schedules=True, deadlines=budgets
-                ):
-                    ticket = ready[index]
-                    if isinstance(result, FarmJobResult) and result.spans:
-                        # graft worker spans under whatever span is live
-                        # on the consumer's thread right now
-                        adopt(result.spans)
-                    if isinstance(result, FarmJobError):
-                        # the stream keeps flowing for the healthy requests;
-                        # the failed ticket is typed + dead-lettered, so
-                        # callers find it on ``queue.dead_letters`` (the
-                        # output count shrinks by its submissions)
-                        if result.error_type == "DeadlineExceeded":
-                            self._expire_ticket(ticket)
-                        else:
-                            self._fail_ticket(ticket, result)
-                        self.breaker.record_failure()
-                        continue
-                    self.breaker.record_success()
-                    self._observe_compile(result)
-                    self._store_put(ticket.digest, result)
-                    response = CompileResponse.from_farm(ticket.digest, result)
-                    ticket.resolve(response)
-                    for _ in range(ticket.submissions):
-                        self._c_completed.inc()
-                        self._c_busy.inc(time.perf_counter() - start)
-                        yield response
-                        start = time.perf_counter()
-                self._absorb_farm_stats()
+                results = self.farm.iter_results(jobs, with_schedules=True, deadlines=budgets)
+                try:
+                    for index, result in results:
+                        ticket = ready[index]
+                        if isinstance(result, FarmJobResult) and result.spans:
+                            # graft worker spans under whatever span is live
+                            # on the consumer's thread right now
+                            adopt(result.spans)
+                        if isinstance(result, FarmJobError):
+                            # the stream keeps flowing for the healthy
+                            # requests; the failed ticket is typed +
+                            # dead-lettered, so callers find it on
+                            # ``queue.dead_letters`` (the output count
+                            # shrinks by its submissions)
+                            if result.error_type == "DeadlineExceeded":
+                                self._expire_ticket(ticket)
+                            else:
+                                self._fail_ticket(ticket, result)
+                            self.breaker.record_failure()
+                            continue
+                        self.breaker.record_success()
+                        self._observe_compile(result)
+                        self._store_put(ticket.digest, result)
+                        response = CompileResponse.from_farm(ticket.digest, result)
+                        ticket.resolve(response)
+                        for _ in range(ticket.submissions):
+                            self._c_completed.inc()
+                            self._c_busy.inc(time.perf_counter() - start)
+                            yield response
+                            start = time.perf_counter()
+                finally:
+                    # a consumer that stops early still closes the farm
+                    # run, so its stats are recorded and absorbed
+                    results.close()
+                    self._absorb_farm_stats()

@@ -167,10 +167,11 @@ class TestCompileFarm:
         with pytest.raises(QPilotError):
             CompileFarm("gpu")
 
-    def test_executor_aliases_resolve(self):
-        assert CompileFarm("serial").executor == "reference"
-        assert CompileFarm("parallel").executor == "process"
-        assert CompileFarm("threads").executor == "thread"
+    def test_executor_aliases_rejected(self):
+        """Only the three backend names are accepted; the old aliases are gone."""
+        for alias in ("serial", "parallel", "threads"):
+            with pytest.raises(QPilotError):
+                CompileFarm(alias)
 
     def test_duplicate_jobs_are_memoised(self):
         config = FPQAConfig.with_width(16, 8)
@@ -320,23 +321,6 @@ class TestExecutorOracle:
         sweep = sweep_array_width(FAMILY_SPECS[0], FAMILY_SPECS[0].num_qubits, widths=(4,))
         assert sweep.points[0].width == 4
 
-    def test_closure_shim_matches_spec_path(self):
-        """The legacy closure API and the farm compile identically."""
-        spec = FAMILY_SPECS[2]
-        edges = spec.build()
-
-        def compile_fn(compiler: QPilotCompiler):
-            return compiler.compile_qaoa(spec.num_qubits, edges)
-
-        legacy = sweep_array_width(
-            compile_fn, spec.num_qubits, widths=WIDTHS, workload_name=spec.name
-        )
-        farmed = sweep_array_width(spec, widths=WIDTHS, executor="process")
-        assert legacy.as_series() == farmed.as_series()
-        assert [p.error_rate for p in legacy.points] == [p.error_rate for p in farmed.points]
-        # closure path keeps full results for backwards compatibility
-        assert all(p.result is not None for p in legacy.points)
-
 
 class TestJobDigest:
     """FarmJob.digest — the content-addressed schedule-store key."""
@@ -433,11 +417,13 @@ class TestStreamingResults:
         jobs = [FarmJob(workload=spec, config=FPQAConfig.with_width(8, 4)) for spec in specs]
 
         started = []
+        workers = set()
         gate = threading.Event()
         real_job = farm_module.compile_farm_job
 
         def gated_job(job, attempt=0):
             started.append(job)
+            workers.add(threading.current_thread())
             if len(started) > 1:
                 # park the single worker so close() runs cancel_futures
                 # while every remaining job is still queued
@@ -448,11 +434,16 @@ class TestStreamingResults:
         farm = CompileFarm("thread", max_workers=1)
         iterator = farm.iter_results(jobs)
         next(iterator)  # job 0 done; the worker picks up job 1 and parks
-        # unblock the in-flight job only once close() is waiting in shutdown
+        # unblock the parked job only after close() has cancelled the queue
         releaser = threading.Timer(0.05, gate.set)
         releaser.start()
-        iterator.close()  # cancels the queued jobs, then waits for job 1
+        iterator.close()  # cancels the queued jobs; the in-flight job 1 is abandoned
         releaser.join()
+        # the worker exits once it runs out of queued work: after job 1
+        # when the queue was cancelled, after job 5 when it was not
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
         # the only jobs that ever started are job 0 and the in-flight job 1;
         # jobs 2..5 were cancelled while queued and never ran
         assert len(started) <= 2

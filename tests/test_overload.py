@@ -322,6 +322,65 @@ def test_stall_dispatch_burns_deadline_before_executor():
     assert farm.last_stats["expired"] == 2
 
 
+@pytest.mark.parametrize("executor", ("thread", "process"))
+def test_abandoned_in_flight_attempts_do_not_hold_the_caller(executor, tmp_path):
+    """An in-flight job whose deadline passes is abandoned: its expiry is
+    yielded on time and the call returns without waiting for the attempt."""
+    plan = FaultPlan.single("sleep-in-compile", duration_s=2.0, max_fires=None)
+    options = FarmOptions(faults=plan)
+    jobs = [
+        FarmJob(workload=_spec(i), config=_request(i).config, options=options)
+        for i in range(2)
+    ]
+    farm = CompileFarm(executor, max_workers=2)
+    start = time.perf_counter()
+    results = farm.run(jobs, deadlines=[0.2, 0.2])
+    assert time.perf_counter() - start < 1.0
+    assert all(r.failed and r.error_type == "DeadlineExceeded" for r in results)
+
+    service = CompileService(tmp_path / "store", executor=executor, max_workers=2)
+    tickets = [
+        service.submit(_request(i, options=options, deadline_s=0.2)) for i in (2, 3)
+    ]
+    start = time.perf_counter()
+    service.process_batch()
+    assert time.perf_counter() - start < 1.0
+    for ticket in tickets:
+        with pytest.raises(DeadlineExceeded):
+            ticket.raise_error()
+
+
+def test_abandoned_attempts_are_bounded_by_the_breaker(tmp_path):
+    """Every batch may leave its overdue attempts running, but each one is an
+    expiry the breaker counts, so sustained overload opens the breaker
+    before abandoned work piles up across batches."""
+    import threading
+
+    plan = FaultPlan.single("sleep-in-compile", duration_s=1.5, max_fires=None)
+    options = FarmOptions(faults=plan)
+    service = CompileService(
+        tmp_path / "store",
+        executor="thread",
+        max_workers=2,
+        breaker=BreakerPolicy(failure_threshold=2, reset_timeout_s=50.0, jitter=0.0),
+        clock=FakeClock(),
+    )
+    baseline = threading.active_count()
+    for batch in range(4):
+        tickets = [
+            service.submit(_request(10 + 2 * batch + i, options=options, deadline_s=0.2))
+            for i in range(2)
+        ]
+        service.process_batch()
+        for ticket in tickets:
+            with pytest.raises((DeadlineExceeded, CircuitOpenError)):
+                ticket.raise_error()
+    assert service.stats.breaker_state == "open"
+    assert service.stats.rejected == 6
+    # only the first batch's two attempts were ever abandoned
+    assert threading.active_count() - baseline <= 2
+
+
 def test_slow_store_read_fault_fires_deterministically(tmp_path):
     digest = "ab" * 20
     plan = FaultPlan.single("slow-store-read", duration_s=0.05, max_fires=1)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import QPilotCompiler, sweep_array_width
+from repro.core import WorkloadSpec, sweep_array_width
 from repro.core.dse import architecture_search
 from repro.exceptions import QPilotError
 from repro.utils.reporting import format_csv, format_series, format_table, geometric_mean, ratio
-from repro.workloads import regular_graph_edges
 
 
 class TestTables:
@@ -48,12 +47,8 @@ class TestTables:
 class TestDesignSpaceExploration:
     @pytest.fixture(scope="class")
     def sweep(self):
-        edges = regular_graph_edges(16, 3, seed=1)
-
-        def compile_fn(compiler: QPilotCompiler):
-            return compiler.compile_qaoa(16, edges)
-
-        return sweep_array_width(compile_fn, 16, widths=(4, 8, 16), workload_name="qaoa16")
+        spec = WorkloadSpec.qaoa_regular_graph(16, 3, seed=1)
+        return sweep_array_width(spec, widths=(4, 8, 16), workload_name="qaoa16")
 
     def test_sweep_has_one_point_per_width(self, sweep):
         assert [p.width for p in sweep.points] == [4, 8, 16]
@@ -75,12 +70,8 @@ class TestDesignSpaceExploration:
             sweep.best("latency")
 
     def test_architecture_search_returns_best(self):
-        edges = regular_graph_edges(12, 3, seed=2)
-
-        def compile_fn(compiler: QPilotCompiler):
-            return compiler.compile_qaoa(12, edges)
-
-        best = architecture_search(compile_fn, 12, widths=(4, 12), workload_name="qaoa12")
+        spec = WorkloadSpec.qaoa_regular_graph(12, 3, seed=2)
+        best = architecture_search(spec, widths=(4, 12), workload_name="qaoa12")
         assert best.width in (4, 12)
 
     def test_empty_sweep_best_raises(self):
