@@ -63,8 +63,8 @@ from repro.core.generic_router import GenericRouter
 from repro.core.qaoa_router import QAOARouter
 from repro.core.qsim_router import QSimRouter
 from repro.hardware import grid_device
+from repro.obs import TrajectoryRecorder, time_call
 from repro.obs.tracing import Tracer, activate
-from repro.utils.profiling import TrajectoryRecorder, time_call
 from repro.utils.reporting import format_table
 from repro.workloads import fig14_workload_specs, qsim_workload, random_graph_edges
 

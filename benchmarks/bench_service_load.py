@@ -62,6 +62,7 @@ from repro.exceptions import (
     DeadlineExceeded,
     LoadShedError,
 )
+from repro.obs import TrajectoryRecorder
 from repro.service import (
     BreakerPolicy,
     CompileRequest,
@@ -69,7 +70,6 @@ from repro.service import (
     QueuePolicy,
 )
 from repro.utils.faults import FaultPlan
-from repro.utils.profiling import TrajectoryRecorder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_service.json"

@@ -45,6 +45,7 @@ from repro.obs.tracing import (
     current_tracer,
     format_trace,
     span,
+    time_call,
     tracing_enabled,
     validate_spans,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "log_event",
     "remove_event_log",
     "span",
+    "time_call",
     "tracing_enabled",
     "validate_spans",
 ]

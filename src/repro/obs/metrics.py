@@ -16,7 +16,7 @@ traffic; pass ``registry=REGISTRY`` to publish into the shared one.
 
 :class:`TrajectoryRecorder` also lives here: the append-only JSON
 trajectory files (``BENCH_compile.json`` …) are the repo's long-horizon
-metrics surface, re-exported as ``repro.utils.profiling.TrajectoryRecorder``.
+metrics surface.
 """
 
 from __future__ import annotations

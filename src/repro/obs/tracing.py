@@ -26,15 +26,16 @@ must compare :meth:`Tracer.shape` (or names/attrs), never durations —
 and span records never enter memo keys, digests, or canonical JSON.
 
 :class:`Timer` is the single wall-clock timing primitive of the repo;
-``repro.utils.profiling.Timer`` is a re-export of it.
+:func:`time_call` is the best-of-N micro-benchmark helper built on it.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 __all__ = [
     "SpanRecord",
@@ -46,6 +47,7 @@ __all__ = [
     "current_tracer",
     "format_trace",
     "span",
+    "time_call",
     "tracing_enabled",
     "validate_spans",
 ]
@@ -61,8 +63,8 @@ class Timer:
     ...     do_work()
     >>> t.elapsed  # seconds
 
-    The one timing implementation shared by spans, ``time_call`` and the
-    benchmark harnesses; re-exported as ``repro.utils.profiling.Timer``.
+    The one timing implementation shared by spans, :func:`time_call` and
+    the benchmark harnesses.
     """
 
     __slots__ = ("elapsed", "_start")
@@ -84,6 +86,33 @@ class Timer:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
+
+
+def time_call(
+    fn: Callable[..., Any],
+    *args: Any,
+    repeats: int = 1,
+    warmup: int = 0,
+    **kwargs: Any,
+) -> tuple[Any, float]:
+    """Time ``fn(*args, **kwargs)``, returning ``(result, best_seconds)``.
+
+    ``warmup`` extra calls run first without being timed (they populate
+    caches and trigger interpreter specialisation); the best of ``repeats``
+    timed calls is reported, the standard way to suppress scheduler noise
+    in micro-benchmarks.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for _ in range(warmup):
+        fn(*args, **kwargs)
+    best = math.inf
+    result: Any = None
+    for _ in range(repeats):
+        with Timer() as timer:
+            result = fn(*args, **kwargs)
+        best = min(best, timer.elapsed)
+    return result, best
 
 
 @dataclass

@@ -262,10 +262,10 @@ class QueuedJob:
             return None
         return self.deadline_at - now
 
-    def fail(self, error: str | BaseException | FarmJobError) -> None:
-        """Mark the ticket failed, keeping the typed cause when given one.
+    def fail(self, error: BaseException | FarmJobError) -> None:
+        """Mark the ticket failed, keeping its typed cause.
 
-        Accepts a plain message (legacy), a live exception, or the farm's
+        Accepts a live exception or the farm's
         :class:`~repro.core.farm.FarmJobError` record — whichever the
         failure site has in hand.
         """
@@ -275,15 +275,13 @@ class QueuedJob:
             self.error_type = error.error_type
             self.error_traceback = error.traceback
             self.attempts = error.attempts
-        elif isinstance(error, BaseException):
+        else:
             self.cause = error
             self.error = str(error)
             self.error_type = type(error).__name__
             self.error_traceback = "".join(
                 traceback_module.format_exception(type(error), error, error.__traceback__)
             )
-        else:
-            self.error = str(error)
 
     def raise_error(self) -> None:
         """Re-raise a failed ticket as its faithful typed exception.

@@ -1,18 +1,26 @@
 """The compile service: queue + content-addressed store + compile farm.
 
 :class:`CompileService` turns the one-shot in-process compiler into a
-long-lived serving layer:
+long-lived serving layer.  Every request takes the same path:
 
-* clients :meth:`~CompileService.submit` :class:`CompileRequest` tickets
-  (identical in-flight requests coalesce in the :class:`JobQueue`);
-* :meth:`~CompileService.process_batch` drains the queue — warm keys are
-  answered straight from the :class:`ScheduleStore` (zero router
-  invocations), cold keys are dispatched through the
-  :class:`~repro.core.farm.CompileFarm` once and persisted;
-* :meth:`~CompileService.stream` is the incremental path: responses are
-  yielded as they resolve (cache hits immediately, compiles as each
-  finishes), so arbitrarily large request sweeps flow through without
-  materialising the grid.
+1. **lookup** — an expired ticket fails fast, a warm key is answered
+   straight from the :class:`ScheduleStore` (zero router invocations)
+   and only a live miss goes on;
+2. **dispatch** — the misses are compiled once each by one
+   :class:`~repro.core.farm.CompileFarm` run; each result is settled as
+   it is taken (failed and dead-lettered, or persisted and resolved).
+
+The path has two delivery modes:
+
+* **batch** — clients :meth:`~CompileService.submit`
+  :class:`CompileRequest` tickets (identical in-flight requests coalesce
+  in the :class:`JobQueue`) and :meth:`~CompileService.process_batch`
+  drains the queue, settling farm results in slot order;
+* **stream** — :meth:`~CompileService.stream` yields a response per
+  request as each resolves (cache hits immediately, compiles in
+  completion order), coalescing duplicates within a chunk, so
+  arbitrarily large request sweeps flow through without materialising
+  the grid.
 
 A service built from a store *path* fronts the disk store with the
 in-memory LRU tier (:data:`DEFAULT_MEMORY_ENTRIES`), so the hot head of
@@ -27,8 +35,8 @@ every backend produce byte-identical canonical schedules, and the store
 persists exactly those bytes — so a cache hit is indistinguishable from
 a recompile, which is what makes caching *correct* and not just fast.
 
-Overload robustness (PR 8) keeps that guarantee under pressure instead
-of queueing unboundedly:
+Overload robustness keeps that guarantee under pressure instead of
+queueing unboundedly:
 
 * **Admission control + priority lanes** — the :class:`JobQueue` runs
   under a :class:`~repro.service.queue.QueuePolicy`: over-depth and
@@ -50,16 +58,20 @@ of queueing unboundedly:
   serving from the store, and after a seeded deterministic timeout a
   single half-open probe decides whether to close again.
 
-Shedding, expiry and breaking change *which* requests complete, never
-*what* they return — every admitted-and-completed request still returns
-canonical bytes identical to the fault-free reference run, pinned by the
-overload chaos suite (``tests/test_overload.py``).
+Every failure — farm error, expiry, breaker rejection, shed — leaves
+through one exit that fails the ticket, dead-letters it, counts it and
+logs it.  Shedding, expiry and breaking change *which* requests
+complete, never *what* they return — every admitted-and-completed
+request still returns canonical bytes identical to the fault-free
+reference run, pinned by the overload chaos suite
+(``tests/test_overload.py``).
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
@@ -88,7 +100,7 @@ from repro.exceptions import (
 )
 from repro.hardware.fpqa import FPQAConfig
 from repro.obs.events import log_event
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracing import adopt, span, tracing_enabled
 from repro.service.queue import (
     FAILED,
@@ -575,50 +587,35 @@ class CompileService:
             )
             return False
 
-    def _fail_ticket(self, ticket: QueuedJob, error: FarmJobError) -> None:
-        """Fail a ticket with its typed cause and dead-letter it."""
+    def _bury(
+        self,
+        ticket: QueuedJob,
+        error: BaseException | FarmJobError,
+        counter: Counter,
+        count: int,
+        event: str,
+        /,
+        **fields: Any,
+    ) -> None:
+        """Fail a ticket with its typed cause, dead-letter it, count and log it.
+
+        The one failure exit: farm failures, expiries, breaker rejections
+        and sheds all end here.  Coalesced waiters share the ticket, so
+        every one of them observes ``error``.
+        """
         ticket.fail(error)
         self.queue.bury(ticket)
-        self._c_failed_jobs.inc()
-        log_event(
-            logger,
-            "dead-letter",
-            digest=ticket.digest[:12],
-            error=error.error_type,
-            attempts=error.attempts,
-        )
+        counter.inc(count)
+        log_event(logger, event, digest=ticket.digest[:12], **fields)
 
     def _expire_ticket(self, ticket: QueuedJob) -> None:
         """Fail a ticket whose deadline ran out; every waiter sees it."""
-        ticket.fail(
-            DeadlineExceeded(
-                f"request {ticket.digest[:12]} deadline expired before completion",
-                digest=ticket.digest,
-            )
+        error = DeadlineExceeded(
+            f"request {ticket.digest[:12]} deadline expired before completion",
+            digest=ticket.digest,
         )
-        self.queue.bury(ticket)
-        self._c_expired.inc(ticket.submissions)
-        log_event(
-            logger, "request-expired", digest=ticket.digest[:12], waiters=ticket.submissions
-        )
-
-    def _reject_open(self, ticket: QueuedJob) -> None:
-        """Fail a cold ticket refused because the breaker is open."""
-        ticket.fail(
-            CircuitOpenError(
-                f"circuit breaker open; cold request {ticket.digest[:12]} rejected",
-                digest=ticket.digest,
-            )
-        )
-        self.queue.bury(ticket)
-        self._c_rejected.inc(ticket.submissions)
-        log_event(
-            logger,
-            "request-rejected",
-            digest=ticket.digest[:12],
-            reason="breaker-open",
-            waiters=ticket.submissions,
-        )
+        self._bury(ticket, error, self._c_expired, ticket.submissions,
+                   "request-expired", waiters=ticket.submissions)
 
     def _shed_over_high_water(self) -> None:
         """Drop lowest-priority queued work past the high-water mark."""
@@ -626,24 +623,15 @@ class CompileService:
         if high is None or self.queue.depth <= high:
             return
         for ticket in self.queue.shed(self.queue.depth - high):
-            ticket.fail(
-                LoadShedError(
-                    f"request {ticket.digest[:12]} shed: queue depth crossed "
-                    f"high water ({high})",
-                    client_id=ticket.request.client_id,
-                    lane=ticket.lane,
-                    reason="load-shed",
-                )
-            )
-            self.queue.bury(ticket)
-            self._c_shed.inc(ticket.submissions)
-            log_event(
-                logger,
-                "request-shed",
-                digest=ticket.digest[:12],
+            error = LoadShedError(
+                f"request {ticket.digest[:12]} shed: queue depth crossed "
+                f"high water ({high})",
+                client_id=ticket.request.client_id,
                 lane=ticket.lane,
-                waiters=ticket.submissions,
+                reason="load-shed",
             )
+            self._bury(ticket, error, self._c_shed, ticket.submissions,
+                       "request-shed", lane=ticket.lane, waiters=ticket.submissions)
 
     def _breaker_admits(self) -> bool:
         """Whether cold dispatch is allowed right now (claims the probe)."""
@@ -702,90 +690,9 @@ class CompileService:
         """
         start = time.perf_counter()
         batch = self.queue.pop_batch(self.batch_size if limit is None else limit)
-        cold: list[QueuedJob] = []
-        for ticket in batch:
-            if ticket.expired(self._clock()):
-                self._expire_ticket(ticket)
-                continue
-            with span("store-get", digest=ticket.digest[:12]) as get_span:
-                entry = self.store.get(ticket.digest)
-                get_span.set("outcome", "hit" if entry is not None else "miss")
-            # re-check after the read: a slow store (``slow-store-read``)
-            # can burn the whole budget on the warm path
-            if ticket.expired(self._clock()):
-                self._expire_ticket(ticket)
-                continue
-            if entry is not None:
-                self._c_cache_hits.inc()
-                ticket.resolve(CompileResponse.from_store(entry))
-                self.queue.finish(ticket)
-            else:
-                self._c_cache_misses.inc()
-                cold.append(ticket)
-        dispatch: list[QueuedJob] = []
-        for ticket in cold:
-            if self._breaker_admits():
-                dispatch.append(ticket)
-            else:
-                self._reject_open(ticket)
-        if dispatch:
-            now = self._clock()
-            ready: list[QueuedJob] = []
-            budgets: list[float | None] = []
-            for ticket in dispatch:
-                budget = ticket.remaining_budget(now)
-                if budget is not None and budget <= 0:
-                    self._expire_ticket(ticket)
-                    continue
-                ready.append(ticket)
-                budgets.append(budget)
-            jobs = [ticket.request.job() for ticket in ready]
-            if jobs and tracing_enabled():
-                # digest/memo keys exclude ``trace``, so flipping it on
-                # changes nothing about what (or under which key) the
-                # farm computes — it only ships span records back
-                jobs = [
-                    replace(job, options=replace(job.options, trace=True))
-                    for job in jobs
-                ]
-            self._c_farm_dispatches.inc(len(jobs))
-            try:
-                if jobs:
-                    with span("farm-dispatch", jobs=len(jobs)):
-                        results = self.farm.run(jobs, with_schedules=True, deadlines=budgets)
-                        for result in results:
-                            if isinstance(result, FarmJobResult) and result.spans:
-                                adopt(result.spans)
-                    self._absorb_farm_stats()
-                else:
-                    results = []
-                for ticket, result in zip(ready, results):
-                    if isinstance(result, FarmJobError):
-                        # one poisoned job fails only its own ticket —
-                        # typed, dead-lettered, visible to every
-                        # coalesced waiter on the shared object.  Both
-                        # real failures and in-farm expiries count
-                        # against the breaker: either way the farm is
-                        # not completing work right now
-                        if result.error_type == "DeadlineExceeded":
-                            self._expire_ticket(ticket)
-                        else:
-                            self._fail_ticket(ticket, result)
-                        self.breaker.record_failure()
-                        continue
-                    self.breaker.record_success()
-                    self._observe_compile(result)
-                    self._store_put(ticket.digest, result)
-                    ticket.resolve(CompileResponse.from_farm(ticket.digest, result))
-                    self.queue.finish(ticket)
-            except BaseException as exc:
-                # tickets are already out of the queue — mark the unresolved
-                # ones failed so waiters see the error instead of hanging
-                for ticket in ready:
-                    if not ticket.done and not ticket.failed:
-                        ticket.fail(exc)
-                        self.queue.finish(ticket)
-                raise
+        cold = [ticket for ticket in batch if not self._lookup(ticket)]
+        for _ in self._dispatch(cold, in_slot_order=True):
+            pass
         # per *resolved* submission, exactly like stream(): coalesced
         # waiters each count as a completed request, but a failed
         # ticket's submissions were never served and must not inflate
@@ -795,6 +702,105 @@ class CompileService:
             self._c_completed.inc(done)
         self._c_busy.inc(time.perf_counter() - start)
         return batch
+
+    def _lookup(self, ticket: QueuedJob) -> bool:
+        """Serve ``ticket`` from the store or expire it; False leaves a miss to dispatch."""
+        entry = None
+        if not ticket.expired(self._clock()):
+            with span("store-get", digest=ticket.digest[:12]) as get_span:
+                entry = self.store.get(ticket.digest)
+                get_span.set("outcome", "hit" if entry is not None else "miss")
+        # one check after the read covers both: the clock is monotonic,
+        # and a slow store (``slow-store-read``) can burn the whole budget
+        if ticket.expired(self._clock()):
+            self._expire_ticket(ticket)
+            return True
+        if entry is None:
+            self._c_cache_misses.inc()
+            return False
+        self._c_cache_hits.inc()
+        ticket.resolve(CompileResponse.from_store(entry))
+        self.queue.finish(ticket)
+        return True
+
+    def _dispatch(self, cold: list[QueuedJob], *, in_slot_order: bool) -> Iterator[QueuedJob]:
+        """Compile cold tickets in one farm run; yield each as it resolves.
+
+        ``in_slot_order`` picks the farm call: :meth:`CompileFarm.run`
+        under a ``farm-dispatch`` span, settled in slot order (batch), or
+        :meth:`CompileFarm.iter_results`, settled in completion order
+        (stream).  On a pool that order is the order the breaker sees.
+        """
+        if not cold:
+            return
+        for ticket in cold:
+            if not self._breaker_admits():
+                error = CircuitOpenError(
+                    f"circuit breaker open; cold request {ticket.digest[:12]} rejected",
+                    digest=ticket.digest,
+                )
+                self._bury(ticket, error, self._c_rejected, ticket.submissions,
+                           "request-rejected", reason="breaker-open", waiters=ticket.submissions)
+        now = self._clock()
+        for ticket in cold:
+            if not ticket.failed and ticket.expired(now):
+                self._expire_ticket(ticket)
+        ready = [ticket for ticket in cold if not ticket.failed]
+        jobs = [ticket.request.job() for ticket in ready]
+        if tracing_enabled():
+            # digest/memo keys exclude ``trace``, so flipping it on changes
+            # nothing the farm computes or keys — it only ships span records back
+            jobs = [replace(job, options=replace(job.options, trace=True)) for job in jobs]
+        self._c_farm_dispatches.inc(len(jobs))
+        if not jobs:
+            return
+        budgets = [ticket.remaining_budget(now) for ticket in ready]
+        try:
+            if in_slot_order:
+                with span("farm-dispatch", jobs=len(jobs)):
+                    results = self.farm.run(jobs, with_schedules=True, deadlines=budgets)
+                    for result in results:
+                        if not result.failed:
+                            adopt(result.spans)
+                settled: Iterator[tuple[int, Any]] = enumerate(results)
+            else:
+                settled = self.farm.iter_results(jobs, with_schedules=True, deadlines=budgets)
+            for index, result in settled:
+                ticket = ready[index]
+                if not in_slot_order and not result.failed:
+                    # graft worker spans under whatever span is live on
+                    # the consumer's thread right now
+                    adopt(result.spans)
+                if isinstance(result, FarmJobError):
+                    # both real failures and in-farm expiries count
+                    # against the breaker: either way the farm is not
+                    # completing work right now
+                    if result.error_type == "DeadlineExceeded":
+                        self._expire_ticket(ticket)
+                    else:
+                        self._bury(ticket, result, self._c_failed_jobs, 1, "dead-letter",
+                                   error=result.error_type, attempts=result.attempts)
+                    self.breaker.record_failure()
+                    continue
+                self.breaker.record_success()
+                self._observe_compile(result)
+                self._store_put(ticket.digest, result)
+                ticket.resolve(CompileResponse.from_farm(ticket.digest, result))
+                self.queue.finish(ticket)
+                yield ticket
+        except BaseException as exc:
+            # the tickets are out of the queue — mark the unresolved ones
+            # failed so waiters see the error instead of hanging
+            for ticket in ready:
+                if not ticket.done and not ticket.failed:
+                    ticket.fail(exc)
+                    self.queue.finish(ticket)
+            raise
+        finally:
+            # absorbed even when the run raised or the stream closed early
+            if not in_slot_order:
+                settled.close()
+            self._absorb_farm_stats()
 
     def drain(self) -> list[QueuedJob]:
         """Process batches until the queue is empty."""
@@ -985,113 +991,36 @@ class CompileService:
         # or breaker-rejected request is typed + dead-lettered and the
         # output count shrinks by its submissions, same as a failure.
         start = time.perf_counter()
-        cold_tickets: list[QueuedJob] = []
-        cold_index: dict[str, int] = {}
+        cold: dict[str, QueuedJob] = {}
         default_lane = self.queue.policy.default_lane
         for request in chunk:
             self._c_requests.inc()
             digest = request.digest()
-            deadline_at = (
-                None
-                if request.deadline_s is None
-                else self._clock() + request.deadline_s
-            )
-            if digest in cold_index:
+            ticket = cold.get(digest)
+            if ticket is not None:
                 # already being compiled in this chunk — the shared ticket
                 # will emit one extra response when it resolves, and its
                 # deadline tightens to the strictest waiter's
                 self._c_coalesced.inc()
-                ticket = cold_tickets[cold_index[digest]]
                 ticket.submissions += 1
-                if deadline_at is not None and (
-                    ticket.deadline_at is None or deadline_at < ticket.deadline_at
-                ):
-                    ticket.deadline_at = deadline_at
+                self.queue._tighten_deadline(ticket, request)
                 continue
-            with span("store-get", digest=digest[:12]) as get_span:
-                entry = self.store.get(digest)
-                get_span.set("outcome", "hit" if entry is not None else "miss")
+            deadline_at = (
+                None if request.deadline_s is None else self._clock() + request.deadline_s
+            )
             lane = request.priority if request.priority is not None else default_lane
-            if deadline_at is not None and self._clock() >= deadline_at:
-                # the budget is gone already (e.g. a slow store read) —
-                # expired even if the key turned out warm
-                self._expire_ticket(
-                    QueuedJob(
-                        request=request, digest=digest, lane=lane, deadline_at=deadline_at
-                    )
-                )
-                continue
-            if entry is not None:
-                self._c_cache_hits.inc()
+            ticket = QueuedJob(request=request, digest=digest, lane=lane, deadline_at=deadline_at)
+            if not self._lookup(ticket):
+                cold[digest] = ticket
+            elif ticket.done:
                 self._c_completed.inc()
                 self._c_busy.inc(time.perf_counter() - start)
-                yield CompileResponse.from_store(entry)
+                yield ticket.response
                 start = time.perf_counter()
-            else:
-                self._c_cache_misses.inc()
-                cold_index[digest] = len(cold_tickets)
-                cold_tickets.append(
-                    QueuedJob(
-                        request=request, digest=digest, lane=lane, deadline_at=deadline_at
-                    )
-                )
-        dispatch: list[QueuedJob] = []
-        for ticket in cold_tickets:
-            if self._breaker_admits():
-                dispatch.append(ticket)
-            else:
-                self._reject_open(ticket)
-        if dispatch:
-            now = self._clock()
-            ready: list[QueuedJob] = []
-            budgets: list[float | None] = []
-            for ticket in dispatch:
-                budget = ticket.remaining_budget(now)
-                if budget is not None and budget <= 0:
-                    self._expire_ticket(ticket)
-                    continue
-                ready.append(ticket)
-                budgets.append(budget)
-            jobs = [ticket.request.job() for ticket in ready]
-            if jobs and tracing_enabled():
-                jobs = [
-                    replace(job, options=replace(job.options, trace=True))
-                    for job in jobs
-                ]
-            self._c_farm_dispatches.inc(len(jobs))
-            if jobs:
-                results = self.farm.iter_results(jobs, with_schedules=True, deadlines=budgets)
-                try:
-                    for index, result in results:
-                        ticket = ready[index]
-                        if isinstance(result, FarmJobResult) and result.spans:
-                            # graft worker spans under whatever span is live
-                            # on the consumer's thread right now
-                            adopt(result.spans)
-                        if isinstance(result, FarmJobError):
-                            # the stream keeps flowing for the healthy
-                            # requests; the failed ticket is typed +
-                            # dead-lettered, so callers find it on
-                            # ``queue.dead_letters`` (the output count
-                            # shrinks by its submissions)
-                            if result.error_type == "DeadlineExceeded":
-                                self._expire_ticket(ticket)
-                            else:
-                                self._fail_ticket(ticket, result)
-                            self.breaker.record_failure()
-                            continue
-                        self.breaker.record_success()
-                        self._observe_compile(result)
-                        self._store_put(ticket.digest, result)
-                        response = CompileResponse.from_farm(ticket.digest, result)
-                        ticket.resolve(response)
-                        for _ in range(ticket.submissions):
-                            self._c_completed.inc()
-                            self._c_busy.inc(time.perf_counter() - start)
-                            yield response
-                            start = time.perf_counter()
-                finally:
-                    # a consumer that stops early still closes the farm
-                    # run, so its stats are recorded and absorbed
-                    results.close()
-                    self._absorb_farm_stats()
+        with closing(self._dispatch(list(cold.values()), in_slot_order=False)) as resolved:
+            for ticket in resolved:
+                for _ in range(ticket.submissions):
+                    self._c_completed.inc()
+                    self._c_busy.inc(time.perf_counter() - start)
+                    yield ticket.response
+                    start = time.perf_counter()

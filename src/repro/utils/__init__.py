@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, timing, reporting, and serialisation."""
+"""Shared utilities: RNG handling, fault injection, reporting, and serialisation."""
 
 from repro.utils.faults import FaultPlan, FaultRule, deterministic_draw
-from repro.utils.profiling import Timer, TrajectoryRecorder, time_call
 from repro.utils.rng import ensure_rng, spawn
 
 __all__ = [
@@ -10,9 +9,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "deterministic_draw",
-    "Timer",
-    "TrajectoryRecorder",
-    "time_call",
 ]
 
 # Note: repro.utils.reporting and repro.utils.serialization are imported

@@ -214,7 +214,7 @@ def test_finish_releases_quota_idempotently():
     queue.finish(t1)
     queue.finish(t1)  # idempotent
     assert queue.client_pending("a") == 1
-    t2.fail("boom")
+    t2.fail(QPilotError("boom"))
     queue.bury(t2)  # bury releases too
     assert queue.client_pending("a") == 0
     assert queue.pending_by_client() == {}
@@ -521,7 +521,7 @@ def test_dead_letter_bound_is_configurable_and_drops_are_counted(tmp_path):
     for index in range(4):
         ticket = queue.submit(_request(index))
         queue.pop_batch()
-        ticket.fail("boom")
+        ticket.fail(QPilotError("boom"))
         queue.bury(ticket)
         buried.append(ticket)
     assert len(queue.dead_letters) == 2
@@ -593,7 +593,7 @@ def _replay(ops) -> tuple[list[str], JobQueue]:
                 ticket.resolve(None)
                 queue.finish(ticket)
             else:
-                ticket.fail("injected")
+                ticket.fail(QPilotError("injected"))
                 queue.bury(ticket)
         # quota accounting never goes negative, and the ledger always
         # matches the live tickets exactly

@@ -1,9 +1,7 @@
-"""``repro.utils.profiling`` tests: Timer, time_call, TrajectoryRecorder.
+"""Timing and trajectory tests: Timer, time_call, TrajectoryRecorder.
 
-The profiling module is a compatibility facade since the observability
-PR: :class:`Timer` and :class:`TrajectoryRecorder` are re-exports of the
-``repro.obs`` primitives, so these tests pin both the historic API and
-the re-export identity (one timing implementation, one recorder).
+All three are ``repro.obs`` primitives; the identity tests pin that the
+package exports the one timing implementation and the one recorder.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ import time
 
 import pytest
 
-from repro.utils.profiling import Timer, TrajectoryRecorder, time_call
+from repro.obs import Timer, TrajectoryRecorder, time_call
 
 
 class TestTimer:

@@ -199,10 +199,38 @@ class TestFailureHandling:
         assert "router exploded" in ticket.error
         assert service.queue.depth == 0
 
+    @pytest.mark.parametrize("mode", ("batch", "stream"))
+    def test_interrupted_farm_run_keeps_its_fault_counters(self, tmp_path, monkeypatch, mode):
+        """A farm run that raises part-way still folds the retries it
+        charged into the service stats, on both serving paths."""
+        from repro.core import FarmPolicy
+        from repro.core import farm as farm_module
+
+        attempts = []
+
+        def flaky(job, attempt=0):
+            attempts.append(job)
+            if len(attempts) == 1:
+                raise RuntimeError("transient")  # charged as a retry
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(farm_module, "compile_farm_job_with_schedule", flaky)
+        service = service_for(
+            tmp_path, policy=FarmPolicy(backoff_base_s=0.001, backoff_max_s=0.01)
+        )
+        with pytest.raises(KeyboardInterrupt):
+            if mode == "batch":
+                service.submit_all(FAMILY_REQUESTS[:2])
+                service.process_batch()
+            else:
+                list(service.stream(FAMILY_REQUESTS[:2]))
+        assert service.farm.last_stats["retries"] == 1
+        assert service.stats.retries == 1
+
     def test_compile_raises_cleanly_on_failed_ticket(self, tmp_path):
         service = service_for(tmp_path)
         ticket = service.submit(FAMILY_REQUESTS[0])
-        ticket.fail("simulated failure")
+        ticket.fail(QPilotError("simulated failure"))
         with pytest.raises(QPilotError, match="simulated failure"):
             service.compile(FAMILY_REQUESTS[0])
 
@@ -317,53 +345,138 @@ class TestStreaming:
 
 
 class TestStatsUnderFaults:
-    """Regression: ``completed`` (and through it ``throughput_rps``) must
-    count only *resolved* submissions — the batch path used to count a
-    failed ticket's coalesced submissions while the stream path did not,
-    so the two serving paths disagreed about identical traffic."""
+    """Batch and stream must report identical traffic identically.
 
-    def _requests_with_one_failing_family(self) -> list[CompileRequest]:
+    Regression origin: ``completed`` (and through it ``throughput_rps``)
+    must count only *resolved* submissions — the batch path used to count
+    a failed ticket's coalesced submissions while the stream path did
+    not.  The differential feeds both paths one mixed, faulted traffic and
+    compares everything they report.  The CI chaos job reruns it with the
+    ``QPILOT_FAULTS`` preset as the plan of the compile-faulted keys."""
+
+    @staticmethod
+    def _traffic() -> tuple[list[list[CompileRequest]], CompileRequest, str]:
+        """Waves of requests (one batch or one stream chunk each), the
+        request to pre-warm and the digest whose store write fails."""
         from repro.utils.faults import FaultPlan
 
-        options = FarmOptions(
-            faults=FaultPlan.single("raise-in-compile", match="qsim", max_fires=None)
-        )
+        env = FaultPlan.from_env()
+        retried = env or FaultPlan.single("raise-in-compile", max_fires=1)
+        poisoned = env or FaultPlan.single("raise-in-compile", max_fires=None)
+        # a 0.3 s stall against a 0.1 s deadline: the expiry is not a race
+        stalled = FaultPlan.single("stall-dispatch", duration_s=0.3, max_fires=None)
 
-        def with_faults(request: CompileRequest) -> CompileRequest:
-            return CompileRequest(
-                workload=request.workload, config=request.config, options=options
+        # distinct widths give distinct fault keys, so a rated preset
+        # fires on some keys and not on others
+        def key(qubits, faults=None, deadline_s=None) -> CompileRequest:
+            return CompileRequest.for_width(
+                WorkloadSpec.random_circuit(qubits, 3, seed=qubits),
+                4,
+                options=FarmOptions(faults=faults),
+                deadline_s=deadline_s,
             )
 
-        # circuit ok, qsim fails (twice: a coalesced duplicate), qaoa ok
-        return [
-            with_faults(FAMILY_REQUESTS[0]),
-            with_faults(FAMILY_REQUESTS[1]),
-            with_faults(FAMILY_REQUESTS[1]),
-            with_faults(FAMILY_REQUESTS[2]),
+        warm, cold, unpersisted = key(5), key(6), key(7)
+        dead = key(8, poisoned)
+        waves = [
+            [warm, key(9, stalled, deadline_s=0.1), cold, cold, key(10, retried),
+             dead, dead, unpersisted],
+            # three consecutive failures open the breaker ...
+            [key(qubits, poisoned) for qubits in (11, 12, 13)],
+            # ... which then rejects a cold key
+            [key(14)],
         ]
+        return waves, warm, unpersisted.digest()
+
+    @classmethod
+    def _serve(cls, root: Path, mode: str) -> dict:
+        """Serve the traffic through one path; everything it reports."""
+        from repro.core import FarmPolicy
+        from repro.obs import MetricsRegistry
+        from repro.service import BreakerPolicy
+        from repro.utils.faults import FaultPlan
+
+        waves, warm, unpersisted = cls._traffic()
+        CompileService(root, executor="reference").compile(warm)
+        registry = MetricsRegistry()
+        store = ScheduleStore(
+            root,
+            faults=FaultPlan.single("fail-store-write", match=unpersisted, max_fires=None),
+            registry=registry,
+        )
+        service = CompileService(
+            store,
+            executor="reference",
+            policy=FarmPolicy(backoff_base_s=0.001, backoff_max_s=0.01),
+            breaker=BreakerPolicy(failure_threshold=3),
+            # a frozen clock: only the farm's real-time budget expires a
+            # ticket, and the open breaker never half-opens mid-run
+            clock=lambda: 0.0,
+            registry=registry,
+        )
+        served = {}
+        for wave in waves:
+            if mode == "batch":
+                service.submit_all(wave)
+                responses = [t.response for t in service.drain() if t.done]
+            else:
+                responses = list(service.stream(wave))
+            for response in responses:
+                served[response.digest] = (response.source, response.schedule_json())
+        stats = service.stats.to_dict()
+        del stats["busy_s"], stats["throughput_rps"]
+        counters = {
+            (instrument.name, instrument.labels): instrument.value
+            for instrument in registry.instruments()
+            if instrument.kind == "counter"
+            and instrument.name != "service_busy_seconds_total"
+        }
+        dead_letters = [
+            (ticket.digest, ticket.error_type, ticket.submissions)
+            for ticket in service.queue.dead_letters
+        ]
+        return {
+            "stats": stats,
+            "counters": counters,
+            "dead_letters": dead_letters,
+            "served": served,
+        }
 
     def test_batch_and_stream_agree_on_completed(self, tmp_path):
-        requests = self._requests_with_one_failing_family()
+        from repro.utils.faults import FaultPlan
 
-        batch_service = CompileService(tmp_path / "batch", executor="reference")
-        batch_service.submit_all(requests)
-        batch_service.drain()
-
-        stream_service = CompileService(tmp_path / "stream", executor="reference")
-        responses = list(stream_service.stream(requests))
-
-        # 4 submissions, 2 of which share the failing qsim ticket: only
-        # the 2 healthy ones were actually served on either path
-        assert len(responses) == 2
-        assert stream_service.stats.completed == 2
-        assert batch_service.stats.completed == 2, (
-            "process_batch counted a failed ticket's submissions as completed"
+        batch = self._serve(tmp_path / "batch", "batch")
+        stream = self._serve(tmp_path / "stream", "stream")
+        for field_name in ("stats", "counters", "dead_letters", "served"):
+            assert batch[field_name] == stream[field_name], field_name
+        if FaultPlan.from_env() is not None:
+            return
+        stats = batch["stats"]
+        # 12 submissions: the warm key, the cold key twice, the retried
+        # key and the unpersisted key are served; the poisoned duplicate's
+        # 2 submissions never are
+        assert stats["requests"] == 12
+        assert stats["coalesced"] == 2
+        assert stats["completed"] == 5, (
+            "a failed ticket's submissions were counted as completed"
         )
-        for service in (batch_service, stream_service):
-            assert service.stats.requests == 4
-            assert service.stats.failed_jobs == 1
-            assert len(service.queue.dead_letters) == 1
-            assert service.queue.dead_letters[0].submissions == 2
+        assert stats["cache_hits"] == 1
+        assert stats["farm_dispatches"] == 8
+        assert stats["failed_jobs"] == 4
+        assert stats["expired"] == 1
+        assert stats["rejected"] == 1
+        assert stats["store_write_errors"] == 1
+        assert stats["retries"] == 1 + 2 * 4
+        assert stats["breaker_state"] == "open"
+        assert [entry[1:] for entry in batch["dead_letters"]] == [
+            ("DeadlineExceeded", 1),
+            ("InjectedCompileError", 2),
+            ("InjectedCompileError", 1),
+            ("InjectedCompileError", 1),
+            ("InjectedCompileError", 1),
+            ("CircuitOpenError", 1),
+        ]
+        assert len(batch["served"]) == 4
 
     def test_failed_batch_leaves_throughput_finite_and_honest(self, tmp_path):
         """With every request failing, completed stays 0 on both paths."""
