@@ -215,8 +215,11 @@ class GenericRouter:
         schedule.append(
             AncillaRecycleStage(copies=copies, uses_atom_transfer=True, label=f"{label}:recycle")
         )
-        schedule.metadata.setdefault("aod_crosses", {})[stage_index] = {
-            gate_index: crosses[placement.gate_index] for gate_index, placement in selected
+        # str keys and list values: metadata is JSON-native, so a schedule
+        # served from disk equals the freshly compiled one
+        schedule.metadata.setdefault("aod_crosses", {})[str(stage_index)] = {
+            str(gate_index): list(crosses[placement.gate_index])
+            for gate_index, placement in selected
         }
 
 

@@ -72,7 +72,7 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -82,13 +82,11 @@ from repro.core.farm import (
     FarmJobResult,
     FarmOptions,
     FarmPolicy,
-    PointMetrics,
     WorkloadSpec,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dse import SweepResult
-from repro.core.schedule import FPQASchedule
 from repro.exceptions import (
     AdmissionError,
     CircuitError,
@@ -100,7 +98,7 @@ from repro.exceptions import (
 )
 from repro.hardware.fpqa import FPQAConfig
 from repro.obs.events import log_event
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import adopt, span, tracing_enabled
 from repro.service.queue import (
     FAILED,
@@ -111,7 +109,6 @@ from repro.service.queue import (
 )
 from repro.service.store import ScheduleStore, StoreEntry
 from repro.utils.faults import deterministic_draw
-from repro.utils.serialization import canonical_json, schedule_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +123,10 @@ DEFAULT_STREAM_CHUNK = 32
 #: Memory-tier size the service gives a store it constructs itself (pass
 #: ``memory_entries=None`` — or a ready-made :class:`ScheduleStore` — to
 #: opt out).  A serving process wants its hot head answered without disk
-#: I/O; 256 parsed entries is a few MB for typical schedules.
+#: I/O, but parsed entries are not small: a 100-qubit schedule dict is
+#: 18k (QAOA) to 114k (qsim) Python objects, and 24 such entries were
+#: measured at 537k tracked objects and a 168 ms full ``gc.collect()``
+#: (Python 3.11.7, 2 cores), every one of which each gen-2 collection walks.
 DEFAULT_MEMORY_ENTRIES = 256
 
 #: Circuit-breaker states.
@@ -241,56 +241,51 @@ class CircuitBreaker:
 
 
 @dataclass(frozen=True)
-class CompileResponse:
-    """What the service hands back for one resolved request."""
+class CompileResponse(StoreEntry):
+    """The :class:`StoreEntry` the service served or compiled for one
+    request, plus where it came from.  ``schedule`` is shared with the
+    store's memory tier and every response served from it: read-only."""
 
-    digest: str
-    router: str
-    metrics: PointMetrics
-    schedule: dict[str, Any]
-    source: str
+    source: str = SOURCE_COMPILED
 
     @property
     def cached(self) -> bool:
         return self.source == SOURCE_CACHE
 
-    def schedule_json(self) -> str:
-        """Canonical schedule JSON (byte-stable across cache and compile)."""
-        return canonical_json(self.schedule)
 
-    def load_schedule(self) -> FPQASchedule:
-        return schedule_from_dict(self.schedule)
+@dataclass
+class _ServiceCounters:
+    """The counted fields of :class:`ServiceStats`: each is the registry
+    counter ``service_<field>_total``, except ``busy_s``, which is
+    ``service_busy_seconds_total`` (Prometheus names carry the unit)."""
 
-    @classmethod
-    def from_store(cls, entry: StoreEntry) -> "CompileResponse":
-        return cls(
-            digest=entry.digest,
-            router=entry.router,
-            metrics=entry.metrics,
-            schedule=entry.schedule,
-            source=SOURCE_CACHE,
-        )
-
-    @classmethod
-    def from_farm(cls, digest: str, result: FarmJobResult) -> "CompileResponse":
-        return cls(
-            digest=digest,
-            router=result.router,
-            metrics=result.metrics,
-            schedule=result.schedule,
-            source=SOURCE_COMPILED,
-        )
+    requests: int = 0
+    coalesced: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    farm_dispatches: int = 0
+    completed: int = 0
+    busy_s: float = 0.0
+    retries: int = 0
+    pool_respawns: int = 0
+    timeouts: int = 0
+    failed_jobs: int = 0
+    store_write_errors: int = 0
+    rejected: int = 0
+    rejected_invalid: int = 0
+    shed: int = 0
+    expired: int = 0
 
 
 @dataclass
-class ServiceStats:
+class ServiceStats(_ServiceCounters):
     """Aggregate serving statistics since service construction.
 
-    Since the observability PR this dataclass is a *view*: the counters
-    live in the service's :class:`~repro.obs.metrics.MetricsRegistry`
-    (``service_*`` instruments) and ``CompileService.stats`` builds one
-    of these from the registry on access — there is no second,
-    hand-maintained copy of any number.
+    This dataclass is a *view*: its counted fields (see
+    :class:`_ServiceCounters`) are counters in the service's
+    :class:`~repro.obs.metrics.MetricsRegistry`, the rest are live queue
+    and breaker readings, and ``CompileService.stats`` builds one of these
+    on access — there is no second, hand-maintained copy of any number.
 
     The fault-tolerance counters mirror the farm's per-run stats,
     accumulated across every dispatch: ``retries`` (failed attempts that
@@ -316,24 +311,8 @@ class ServiceStats:
     never reached the farm and never dead-lettered.
     """
 
-    requests: int = 0
-    coalesced: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    farm_dispatches: int = 0
-    completed: int = 0
-    busy_s: float = 0.0
     queue_depth: int = 0
-    retries: int = 0
-    pool_respawns: int = 0
-    timeouts: int = 0
-    failed_jobs: int = 0
-    store_write_errors: int = 0
     degraded: bool = False
-    rejected: int = 0
-    rejected_invalid: int = 0
-    shed: int = 0
-    expired: int = 0
     dead_letters_dropped: int = 0
     breaker_state: str = BREAKER_CLOSED
     breaker_trips: int = 0
@@ -350,31 +329,9 @@ class ServiceStats:
         return self.completed / self.busy_s if self.busy_s > 0 else None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
+        return asdict(self) | {
             "cache_hit_rate": self.cache_hit_rate,
-            "farm_dispatches": self.farm_dispatches,
-            "completed": self.completed,
-            "busy_s": self.busy_s,
             "throughput_rps": self.throughput_rps,
-            "queue_depth": self.queue_depth,
-            "retries": self.retries,
-            "pool_respawns": self.pool_respawns,
-            "timeouts": self.timeouts,
-            "failed_jobs": self.failed_jobs,
-            "store_write_errors": self.store_write_errors,
-            "degraded": self.degraded,
-            "rejected": self.rejected,
-            "rejected_invalid": self.rejected_invalid,
-            "shed": self.shed,
-            "expired": self.expired,
-            "dead_letters_dropped": self.dead_letters_dropped,
-            "breaker_state": self.breaker_state,
-            "breaker_trips": self.breaker_trips,
-            "lane_depths": dict(self.lane_depths),
         }
 
 
@@ -464,23 +421,12 @@ class CompileService:
         self.batch_size = batch_size
         # hot-path instrument handles (the registry get-or-create is
         # locked; the serving loop should not pay it per request)
-        metric = self.registry.counter
-        self._c_requests = metric("service_requests_total")
-        self._c_coalesced = metric("service_coalesced_total")
-        self._c_cache_hits = metric("service_cache_hits_total")
-        self._c_cache_misses = metric("service_cache_misses_total")
-        self._c_farm_dispatches = metric("service_farm_dispatches_total")
-        self._c_completed = metric("service_completed_total")
-        self._c_busy = metric("service_busy_seconds_total")
-        self._c_retries = metric("service_retries_total")
-        self._c_pool_respawns = metric("service_pool_respawns_total")
-        self._c_timeouts = metric("service_timeouts_total")
-        self._c_failed_jobs = metric("service_failed_jobs_total")
-        self._c_store_write_errors = metric("service_store_write_errors_total")
-        self._c_rejected = metric("service_rejected_total")
-        self._c_rejected_invalid = metric("service_rejected_invalid_total")
-        self._c_shed = metric("service_shed_total")
-        self._c_expired = metric("service_expired_total")
+        self._counters = {
+            f.name: self.registry.counter(
+                "service_busy_seconds_total" if f.name == "busy_s" else f"service_{f.name}_total"
+            )
+            for f in fields(_ServiceCounters)
+        }
         self._g_degraded = self.registry.gauge("service_degraded")
 
     # -- stats ----------------------------------------------------------
@@ -489,24 +435,12 @@ class CompileService:
         """Live aggregate stats — a view over the metrics registry."""
         self._refresh_gauges()
         return ServiceStats(
-            requests=int(self._c_requests.value),
-            coalesced=int(self._c_coalesced.value),
-            cache_hits=int(self._c_cache_hits.value),
-            cache_misses=int(self._c_cache_misses.value),
-            farm_dispatches=int(self._c_farm_dispatches.value),
-            completed=int(self._c_completed.value),
-            busy_s=float(self._c_busy.value),
+            **{  # each default's type (0 or 0.0) is its field's
+                f.name: type(f.default)(self._counters[f.name].value)
+                for f in fields(_ServiceCounters)
+            },
             queue_depth=self.queue.depth,
-            retries=int(self._c_retries.value),
-            pool_respawns=int(self._c_pool_respawns.value),
-            timeouts=int(self._c_timeouts.value),
-            failed_jobs=int(self._c_failed_jobs.value),
-            store_write_errors=int(self._c_store_write_errors.value),
             degraded=bool(self._g_degraded.value),
-            rejected=int(self._c_rejected.value),
-            rejected_invalid=int(self._c_rejected_invalid.value),
-            shed=int(self._c_shed.value),
-            expired=int(self._c_expired.value),
             dead_letters_dropped=self.queue.dead_letters_dropped,
             breaker_state=self.breaker.current_state(),
             breaker_trips=self.breaker.trips,
@@ -545,13 +479,9 @@ class CompileService:
     def _absorb_farm_stats(self) -> None:
         """Fold the farm's last-run fault counters into the service view."""
         last = self.farm.last_stats
-        for counter, key in (
-            (self._c_retries, "retries"),
-            (self._c_pool_respawns, "pool_respawns"),
-            (self._c_timeouts, "timeouts"),
-        ):
+        for key in ("retries", "pool_respawns", "timeouts"):
             if last.get(key):
-                counter.inc(last[key])
+                self._counters[key].inc(last[key])
         if last.get("degraded"):
             self._g_degraded.set(1)
 
@@ -577,7 +507,7 @@ class CompileService:
                 self.store.put(digest, result)
             return True
         except Exception as exc:
-            self._c_store_write_errors.inc()
+            self._counters["store_write_errors"].inc()
             log_event(
                 logger,
                 "store-write-failed",
@@ -591,13 +521,14 @@ class CompileService:
         self,
         ticket: QueuedJob,
         error: BaseException | FarmJobError,
-        counter: Counter,
+        counted: str,
         count: int,
         event: str,
         /,
-        **fields: Any,
+        **attrs: Any,
     ) -> None:
-        """Fail a ticket with its typed cause, dead-letter it, count and log it.
+        """Fail a ticket with its typed cause, dead-letter it, add ``count``
+        to the ``counted`` stat and log ``event``.
 
         The one failure exit: farm failures, expiries, breaker rejections
         and sheds all end here.  Coalesced waiters share the ticket, so
@@ -605,8 +536,8 @@ class CompileService:
         """
         ticket.fail(error)
         self.queue.bury(ticket)
-        counter.inc(count)
-        log_event(logger, event, digest=ticket.digest[:12], **fields)
+        self._counters[counted].inc(count)
+        log_event(logger, event, digest=ticket.digest[:12], **attrs)
 
     def _expire_ticket(self, ticket: QueuedJob) -> None:
         """Fail a ticket whose deadline ran out; every waiter sees it."""
@@ -614,7 +545,7 @@ class CompileService:
             f"request {ticket.digest[:12]} deadline expired before completion",
             digest=ticket.digest,
         )
-        self._bury(ticket, error, self._c_expired, ticket.submissions,
+        self._bury(ticket, error, "expired", ticket.submissions,
                    "request-expired", waiters=ticket.submissions)
 
     def _shed_over_high_water(self) -> None:
@@ -630,7 +561,7 @@ class CompileService:
                 lane=ticket.lane,
                 reason="load-shed",
             )
-            self._bury(ticket, error, self._c_shed, ticket.submissions,
+            self._bury(ticket, error, "shed", ticket.submissions,
                        "request-shed", lane=ticket.lane, waiters=ticket.submissions)
 
     def _breaker_admits(self) -> bool:
@@ -653,11 +584,11 @@ class CompileService:
         depth crossed the policy's high-water mark (those tickets fail
         with :class:`~repro.exceptions.LoadShedError`).
         """
-        self._c_requests.inc()
+        self._counters["requests"].inc()
         try:
             ticket = self.queue.submit(request)
         except AdmissionError as exc:
-            self._c_rejected.inc()
+            self._counters["rejected"].inc()
             log_event(
                 logger,
                 "request-rejected",
@@ -667,7 +598,7 @@ class CompileService:
             )
             raise
         if ticket.submissions > 1:
-            self._c_coalesced.inc()
+            self._counters["coalesced"].inc()
         self._shed_over_high_water()
         return ticket
 
@@ -699,8 +630,8 @@ class CompileService:
         # completed (and through it throughput_rps) under faults
         done = sum(ticket.submissions for ticket in batch if ticket.done)
         if done:
-            self._c_completed.inc(done)
-        self._c_busy.inc(time.perf_counter() - start)
+            self._counters["completed"].inc(done)
+        self._counters["busy_s"].inc(time.perf_counter() - start)
         return batch
 
     def _lookup(self, ticket: QueuedJob) -> bool:
@@ -716,10 +647,10 @@ class CompileService:
             self._expire_ticket(ticket)
             return True
         if entry is None:
-            self._c_cache_misses.inc()
+            self._counters["cache_misses"].inc()
             return False
-        self._c_cache_hits.inc()
-        ticket.resolve(CompileResponse.from_store(entry))
+        self._counters["cache_hits"].inc()
+        ticket.resolve(CompileResponse(**vars(entry), source=SOURCE_CACHE))
         self.queue.finish(ticket)
         return True
 
@@ -739,7 +670,7 @@ class CompileService:
                     f"circuit breaker open; cold request {ticket.digest[:12]} rejected",
                     digest=ticket.digest,
                 )
-                self._bury(ticket, error, self._c_rejected, ticket.submissions,
+                self._bury(ticket, error, "rejected", ticket.submissions,
                            "request-rejected", reason="breaker-open", waiters=ticket.submissions)
         now = self._clock()
         for ticket in cold:
@@ -751,7 +682,7 @@ class CompileService:
             # digest/memo keys exclude ``trace``, so flipping it on changes
             # nothing the farm computes or keys — it only ships span records back
             jobs = [replace(job, options=replace(job.options, trace=True)) for job in jobs]
-        self._c_farm_dispatches.inc(len(jobs))
+        self._counters["farm_dispatches"].inc(len(jobs))
         if not jobs:
             return
         budgets = [ticket.remaining_budget(now) for ticket in ready]
@@ -778,14 +709,14 @@ class CompileService:
                     if result.error_type == "DeadlineExceeded":
                         self._expire_ticket(ticket)
                     else:
-                        self._bury(ticket, result, self._c_failed_jobs, 1, "dead-letter",
+                        self._bury(ticket, result, "failed_jobs", 1, "dead-letter",
                                    error=result.error_type, attempts=result.attempts)
                     self.breaker.record_failure()
                     continue
                 self.breaker.record_success()
                 self._observe_compile(result)
                 self._store_put(ticket.digest, result)
-                ticket.resolve(CompileResponse.from_farm(ticket.digest, result))
+                ticket.resolve(CompileResponse.from_result(ticket.digest, result))
                 self.queue.finish(ticket)
                 yield ticket
         except BaseException as exc:
@@ -852,7 +783,7 @@ class CompileService:
             with span("ingest", bytes=len(text)):
                 return WorkloadSpec.qasm(text, limits=limits, name=name)
         except CircuitError as exc:
-            self._c_rejected_invalid.inc()
+            self._counters["rejected_invalid"].inc()
             log_event(
                 logger,
                 "invalid-circuit",
@@ -917,7 +848,10 @@ class CompileService:
         be rebuilt into a :class:`CompileRequest` and whose digest is not
         already servable gets compiled through the normal streaming path
         and persisted — so a store can be pre-populated from yesterday's
-        trajectories before today's traffic arrives.
+        trajectories before today's traffic arrives.  Servability is a
+        real :meth:`ScheduleStore.get`, so it counts in the store's stats
+        like any lookup, a disk hit enters the memory tier, and a stale
+        or corrupt entry file is removed and recompiled.
 
         Returns counts: ``points`` (seen), ``warmed`` (compiled and
         persisted now), ``already`` (servable before the call) and
@@ -942,7 +876,7 @@ class CompileService:
             except (KeyError, TypeError, ValueError, QPilotError):
                 counts["skipped"] += 1
                 continue
-            if digest in seen or digest in self.store:
+            if digest in seen or self.store.get(digest) is not None:
                 counts["already"] += 1
                 continue
             seen.add(digest)
@@ -994,14 +928,14 @@ class CompileService:
         cold: dict[str, QueuedJob] = {}
         default_lane = self.queue.policy.default_lane
         for request in chunk:
-            self._c_requests.inc()
+            self._counters["requests"].inc()
             digest = request.digest()
             ticket = cold.get(digest)
             if ticket is not None:
                 # already being compiled in this chunk — the shared ticket
                 # will emit one extra response when it resolves, and its
                 # deadline tightens to the strictest waiter's
-                self._c_coalesced.inc()
+                self._counters["coalesced"].inc()
                 ticket.submissions += 1
                 self.queue._tighten_deadline(ticket, request)
                 continue
@@ -1013,14 +947,14 @@ class CompileService:
             if not self._lookup(ticket):
                 cold[digest] = ticket
             elif ticket.done:
-                self._c_completed.inc()
-                self._c_busy.inc(time.perf_counter() - start)
+                self._counters["completed"].inc()
+                self._counters["busy_s"].inc(time.perf_counter() - start)
                 yield ticket.response
                 start = time.perf_counter()
         with closing(self._dispatch(list(cold.values()), in_slot_order=False)) as resolved:
             for ticket in resolved:
                 for _ in range(ticket.submissions):
-                    self._c_completed.inc()
-                    self._c_busy.inc(time.perf_counter() - start)
+                    self._counters["completed"].inc()
+                    self._counters["busy_s"].inc(time.perf_counter() - start)
                     yield ticket.response
                     start = time.perf_counter()

@@ -70,7 +70,7 @@ import tempfile
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -105,18 +105,18 @@ _EVICT_LOCK_STALE_S = 30.0
 class StoreStats:
     """Counters of one store's lifetime (since construction).
 
-    ``hits`` is the total across tiers; ``memory_hits`` + ``disk_hits``
-    always equals it, so per-tier hit rates are first-class (the load
-    benchmark's headline numbers).  ``evictions`` counts disk-tier LRU
-    evictions, ``memory_evictions`` the in-process tier's.
+    ``hits`` is the total across tiers, ``memory_hits`` + ``disk_hits``,
+    so per-tier hit rates are first-class (the load benchmark's headline
+    numbers).  ``evictions`` counts disk-tier LRU evictions,
+    ``memory_evictions`` the in-process tier's.
 
-    Since the observability PR this dataclass is a *view*: the numbers
-    live in the store's :class:`~repro.obs.metrics.MetricsRegistry`
-    (``store_*`` instruments) and ``ScheduleStore.stats`` builds one of
-    these on access — no parallel hand-maintained counters.
+    This dataclass is a *view*: each field is the store's
+    ``store_<field>_total`` counter in its
+    :class:`~repro.obs.metrics.MetricsRegistry`, and
+    ``ScheduleStore.stats`` builds one of these on access — no parallel
+    hand-maintained counters.
     """
 
-    hits: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
     misses: int = 0
@@ -124,6 +124,10 @@ class StoreStats:
     evictions: int = 0
     memory_evictions: int = 0
     corrupt: int = 0
+
+    @property
+    def hits(self) -> int:
+        return self.memory_hits + self.disk_hits
 
     @property
     def lookups(self) -> int:
@@ -145,15 +149,8 @@ class StoreStats:
         return self.disk_hits / self.lookups if self.lookups else None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        return asdict(self) | {
             "hits": self.hits,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "evictions": self.evictions,
-            "memory_evictions": self.memory_evictions,
-            "corrupt": self.corrupt,
             "hit_rate": self.hit_rate,
             "memory_hit_rate": self.memory_hit_rate,
             "disk_hit_rate": self.disk_hit_rate,
@@ -162,7 +159,8 @@ class StoreStats:
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One cached compile: canonical schedule dict + metrics + router."""
+    """One cached compile: canonical schedule dict + metrics + router.  The
+    service's ``CompileResponse`` is one of these plus where it came from."""
 
     digest: str
     router: str
@@ -259,14 +257,9 @@ class ScheduleStore:
         # counters live here; ``stats`` is a view built on access (a
         # service shares its registry with the store it constructs)
         self.registry = registry if registry is not None else MetricsRegistry()
-        metric = self.registry.counter
-        self._c_memory_hits = metric("store_memory_hits_total")
-        self._c_disk_hits = metric("store_disk_hits_total")
-        self._c_misses = metric("store_misses_total")
-        self._c_writes = metric("store_writes_total")
-        self._c_evictions = metric("store_evictions_total")
-        self._c_memory_evictions = metric("store_memory_evictions_total")
-        self._c_corrupt = metric("store_corrupt_total")
+        self._counters = {
+            f.name: self.registry.counter(f"store_{f.name}_total") for f in fields(StoreStats)
+        }
         # the memory tier: digest -> StoreEntry, most-recently-used last
         self._memory: "OrderedDict[str, StoreEntry]" = OrderedDict()
         # entry count, maintained incrementally so bounded-store writes
@@ -280,18 +273,7 @@ class ScheduleStore:
     @property
     def stats(self) -> StoreStats:
         """Lifetime counters — a view over the metrics registry."""
-        memory_hits = int(self._c_memory_hits.value)
-        disk_hits = int(self._c_disk_hits.value)
-        return StoreStats(
-            hits=memory_hits + disk_hits,
-            memory_hits=memory_hits,
-            disk_hits=disk_hits,
-            misses=int(self._c_misses.value),
-            writes=int(self._c_writes.value),
-            evictions=int(self._c_evictions.value),
-            memory_evictions=int(self._c_memory_evictions.value),
-            corrupt=int(self._c_corrupt.value),
-        )
+        return StoreStats(**{name: int(c.value) for name, c in self._counters.items()})
 
     # -- addressing -----------------------------------------------------
     def path_for(self, digest: str) -> Path:
@@ -307,7 +289,8 @@ class ScheduleStore:
         return self._count
 
     def __contains__(self, digest: str) -> bool:
-        """Whether a lookup of ``digest`` would be served (either tier)."""
+        """Whether ``digest`` has a memory entry or an entry file — which
+        may be stale or corrupt; only :meth:`get` tells if it is served."""
         return digest in self._memory or self.path_for(digest).exists()
 
     def digests(self) -> list[str]:
@@ -333,7 +316,7 @@ class ScheduleStore:
         self._memory.move_to_end(digest)
         while len(self._memory) > self.memory_entries:
             self._memory.popitem(last=False)
-            self._c_memory_evictions.inc()
+            self._counters["memory_evictions"].inc()
 
     # -- lookup ---------------------------------------------------------
     def get(self, digest: str) -> StoreEntry | None:
@@ -359,13 +342,13 @@ class ScheduleStore:
         memory_entry = self._memory.get(digest)
         if memory_entry is not None:
             self._memory.move_to_end(digest)
-            self._c_memory_hits.inc()
+            self._counters["memory_hits"].inc()
             return memory_entry
         path = self.path_for(digest)
         try:
             raw = path.read_bytes()
         except OSError:
-            self._c_misses.inc()
+            self._counters["misses"].inc()
             return None
         try:
             if raw[:2] == _GZIP_MAGIC:
@@ -385,8 +368,8 @@ class ScheduleStore:
             zlib.error,
             QPilotError,
         ):
-            self._c_corrupt.inc()
-            self._c_misses.inc()
+            self._counters["corrupt"].inc()
+            self._counters["misses"].inc()
             log_event(logger, "corrupt-entry", digest=digest[:12], path=str(path))
             # a concurrent daemon may have repaired the same bad entry
             # first — its unlink must not crash us, and must not be
@@ -403,7 +386,7 @@ class ScheduleStore:
                 if self._count is not None:
                     self._count -= 1
             return None
-        self._c_disk_hits.inc()
+        self._counters["disk_hits"].inc()
         self._touch(path)
         self._memory_store(digest, entry)
         return entry
@@ -430,7 +413,7 @@ class ScheduleStore:
         path = self.path_for(digest)
         existed = path.exists()
         self._write_entry_file(path, entry)
-        self._c_writes.inc()
+        self._counters["writes"].inc()
         if not existed and self._count is not None:
             self._count += 1
         if self.faults is not None and self.faults.should_fire(
@@ -594,7 +577,7 @@ class ScheduleStore:
                     continue
                 if self._count is not None:
                     self._count -= 1
-                self._c_evictions.inc()
+                self._counters["evictions"].inc()
                 removed += 1
                 excess -= 1
             if removed:

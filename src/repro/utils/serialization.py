@@ -156,16 +156,14 @@ def schedule_to_dict(schedule: FPQASchedule, *, canonical: bool = False) -> dict
     timings) are dropped, so serialising the same logical schedule twice —
     or a deserialised round-trip of it — yields identical output.  Golden
     regression files use this mode.
+
+    Metadata values that do not serialise to JSON are dropped; routers keep
+    the rest JSON-native (``str`` keys, lists), so the dict equals its own
+    JSON round-trip and a schedule read back from disk equals a fresh one.
     """
     metadata = {k: v for k, v in schedule.metadata.items() if _is_jsonable(v)}
     if canonical:
         metadata = {k: v for k, v in metadata.items() if k not in VOLATILE_METADATA_KEYS}
-    # Normalise through one JSON round-trip: routers stash dicts with int
-    # keys (and tuples) in metadata, which ``sort_keys`` orders numerically
-    # on the way out but lexicographically after deserialisation — the
-    # serialised form must be identical either way for content-addressed
-    # storage and golden byte-diffs to work.
-    metadata = json.loads(json.dumps(metadata))
     return {
         "schema_version": _SCHEMA_VERSION,
         "name": schedule.name,

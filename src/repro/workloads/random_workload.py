@@ -90,10 +90,8 @@ def fig14_workload_specs(num_qubits: int, *, num_pauli_strings: int = 20) -> lis
     One declarative, picklable :class:`~repro.core.farm.WorkloadSpec` per
     family (random circuit at 10× gates, p=0.3 quantum simulation, p=0.3
     QAOA graph), with the fixed seeds the benchmark suite pins.  Shared by
-    ``benchmarks/bench_fig14_array_width.py``,
-    ``benchmarks/bench_compile_speed.py`` (the ``headline_dse_fig14_s``
-    field) and the DSE perf smoke test, so all three always measure the
-    same grid.
+    ``benchmarks/bench_fig14_array_width.py`` and the DSE perf smoke
+    test, so both always measure the same grid.
     """
     from repro.core.farm import WorkloadSpec
 

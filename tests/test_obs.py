@@ -26,7 +26,9 @@ import logging
 
 import pytest
 
-from repro.core import FarmOptions, WorkloadSpec
+from repro.circuit import random_cx_circuit
+from repro.core import FarmOptions, QPilotCompiler, WorkloadSpec
+from repro.exceptions import InvalidCircuitError
 from repro.obs.events import configure_event_log, log_event, remove_event_log
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.tracing import (
@@ -329,6 +331,18 @@ class TestEndToEndTrace:
             shapes.append(tracer.shape())
         assert shapes[0] == shapes[1]
 
+    def test_generic_route_nests_one_span_per_stage(self):
+        """The generic router's per-stage spans sit under its route span:
+        the phase breakdown a compile-time regression is attributed with."""
+        tracer = Tracer()
+        with activate(tracer):
+            result = QPilotCompiler().compile_circuit(random_cx_circuit(8, 24, seed=21))
+        (route,) = tracer.find("route")
+        stages = tracer.find("stage")
+        assert len(stages) >= result.schedule.metadata["num_macro_stages"] > 0
+        assert all(stage.parent_id == route.span_id for stage in stages)
+        assert len(tracer.find("verify")) == 1
+
 
 class TestPurity:
     def test_schedules_and_digests_identical_tracing_on_and_off(self, tmp_path):
@@ -401,6 +415,51 @@ class TestRegistryBackedStats:
             == store_stats.hits
             == 2
         )
+
+    def test_every_stats_field_reads_its_registry_counter(self, tmp_path):
+        """Each counted ServiceStats/StoreStats field is its registry counter
+        (zero-valued ones included), and the to_dict() key sets are fixed."""
+        service = service_for(tmp_path)
+        for request in REQUESTS:  # cold, then a memory hit
+            service.compile(request)
+            service.compile(request)
+        service.submit(REQUESTS[0])
+        service.submit(REQUESTS[0])  # coalesced, then served from memory
+        service.drain()
+        with pytest.raises(InvalidCircuitError):
+            service.compile_qasm("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[9];\n", width=2)
+        reborn = service_for(tmp_path, registry=service.registry)
+        reborn.compile(REQUESTS[1])  # disk hit, on the shared registry
+
+        stats = service.stats
+        store_stats = service.store.stats
+        data = service.metrics_dict()
+        for name in (
+            "requests", "coalesced", "cache_hits", "cache_misses", "farm_dispatches",
+            "completed", "retries", "pool_respawns", "timeouts", "failed_jobs",
+            "store_write_errors", "rejected", "rejected_invalid", "shed", "expired",
+        ):
+            assert data[f"service_{name}_total"] == getattr(stats, name), name
+        assert data["service_busy_seconds_total"] == stats.busy_s > 0
+        for name in (
+            "memory_hits", "disk_hits", "misses", "writes", "evictions",
+            "memory_evictions", "corrupt",
+        ):
+            assert data[f"store_{name}_total"] == getattr(store_stats, name), name
+        assert store_stats.hits == store_stats.memory_hits + store_stats.disk_hits == 4
+        assert stats.rejected_invalid == 1 and store_stats.disk_hits == 1
+
+        assert set(stats.to_dict()) == {
+            "requests", "coalesced", "cache_hits", "cache_misses", "cache_hit_rate",
+            "farm_dispatches", "completed", "busy_s", "throughput_rps", "queue_depth",
+            "retries", "pool_respawns", "timeouts", "failed_jobs", "store_write_errors",
+            "degraded", "rejected", "rejected_invalid", "shed", "expired",
+            "dead_letters_dropped", "breaker_state", "breaker_trips", "lane_depths",
+        }
+        assert set(store_stats.to_dict()) == {
+            "hits", "memory_hits", "disk_hits", "misses", "writes", "evictions",
+            "memory_evictions", "corrupt", "hit_rate", "memory_hit_rate", "disk_hit_rate",
+        }
 
     def test_store_and_farm_share_the_service_registry(self, tmp_path):
         registry = MetricsRegistry()

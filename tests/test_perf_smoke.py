@@ -109,6 +109,6 @@ def test_dse_fig14_sweep_stays_fast():
     assert elapsed < _DSE_CEILING_S, (
         f"Fig. 14 DSE sweep took {elapsed:.2f}s (ceiling {_DSE_CEILING_S}s); "
         "the compile farm's batching (workload memoisation, per-worker "
-        "caches) may have regressed — see repro/core/farm.py and the "
-        "dse_fig14 field in BENCH_compile.json"
+        "caches) may have regressed — see repro/core/farm.py and "
+        "perfbench's dse-grid-100q workload"
     )

@@ -6,17 +6,19 @@ import json
 
 import pytest
 
+from repro.circuit import random_cx_circuit, random_pauli_strings
 from repro.core import QPilotCompiler, route_circuit, route_qaoa
 from repro.exceptions import ScheduleError
 from repro.sim import verify_schedule_equivalence
 from repro.utils.serialization import (
+    canonical_json,
     schedule_from_dict,
     schedule_from_json,
     schedule_to_dict,
     schedule_to_json,
     stage_from_dict,
 )
-from repro.workloads import ring_graph_edges
+from repro.workloads import random_graph_edges, ring_graph_edges
 
 
 class TestRoundTrip:
@@ -48,6 +50,30 @@ class TestRoundTrip:
         restored = schedule_from_json(schedule_to_json(schedule))
         assert restored.two_qubit_depth() == schedule.two_qubit_depth()
         assert restored.max_concurrent_ancillas() == schedule.max_concurrent_ancillas()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: route_circuit(random_cx_circuit(8, 24, seed=21)),
+            lambda: QPilotCompiler()
+            .compile_pauli_strings(random_pauli_strings(8, 12, 0.3, seed=22))
+            .schedule,
+            lambda: route_qaoa(8, random_graph_edges(8, 0.4, seed=23)),
+        ],
+        ids=["generic", "qsim", "qaoa"],
+    )
+    def test_canonical_dict_is_json_native(self, build):
+        """Every router's canonical dict survives a JSON round-trip unchanged
+        (no int keys, no tuples), so its canonical bytes are the same whether
+        it was freshly compiled or read back from disk."""
+        schedule = build()
+        if schedule.metadata["router"] == "generic":
+            # past 10 stages, int and str stage keys sort differently
+            assert schedule.metadata["num_macro_stages"] >= 10
+        data = schedule_to_dict(schedule, canonical=True)
+        round_tripped = json.loads(json.dumps(data))
+        assert data == round_tripped
+        assert canonical_json(data) == canonical_json(round_tripped)
 
     def test_json_is_valid_and_versioned(self, random_small_circuit):
         text = schedule_to_json(route_circuit(random_small_circuit))

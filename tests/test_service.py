@@ -528,6 +528,20 @@ class TestMemoryTierServing:
         assert service.store.stats.memory_hits == 1
         assert warm.schedule_json() == cold.schedule_json()
 
+    def test_fresh_memory_and_disk_serve_equal_schedules(self, tmp_path):
+        """A fresh compile, a memory hit and a disk hit hand out equal
+        schedule dicts: metadata is JSON-native (str keys, lists) at the
+        router, so the disk round-trip changes nothing."""
+        request = FAMILY_REQUESTS[0]
+        service = service_for(tmp_path)
+        fresh = service.compile(request)
+        memory = service.compile(request)
+        disk = service_for(tmp_path).compile(request)
+        assert fresh.schedule["metadata"]["num_macro_stages"] >= 10
+        assert (fresh.source, memory.source, disk.source) == ("compiled", "cache", "cache")
+        assert service.store.stats.memory_hits == 1
+        assert fresh.schedule == memory.schedule == disk.schedule
+
     def test_compressed_service_serves_identical_bytes(self, tmp_path):
         plain = service_for(tmp_path / "plain")
         gz = service_for(tmp_path / "gz", compress=True)
@@ -651,6 +665,23 @@ class TestWarmFrom:
         service = service_for(tmp_path)
         counts = service.warm_from(archived)
         assert counts == {"points": 3, "warmed": 1, "already": 0, "skipped": 2}
+
+    def test_warm_from_rewarms_unservable_entries(self, tmp_path):
+        """An entry file that would not be served (an older schema) is not
+        "already" warm: warming recompiles it and live traffic then hits."""
+        sweep = self._sweep()
+        first = service_for(tmp_path)
+        assert first.warm_from(sweep)["warmed"] == 3
+        digests = first.store.digests()
+        for digest in digests:
+            path = first.store.path_for(digest)
+            data = json.loads(path.read_text())
+            data["schema_version"] = 2
+            path.write_text(json.dumps(data))
+        counts = service_for(tmp_path).warm_from(sweep)
+        assert counts == {"points": 3, "warmed": 3, "already": 0, "skipped": 0}
+        disk = ScheduleStore(tmp_path / "store")
+        assert all(disk.get(digest) is not None for digest in digests)
 
 
 VALID_QASM = (
