@@ -14,7 +14,7 @@ the same effect as the paper: QAOA prefers wide arrays while random and
 quantum-simulation workloads peak at moderate widths.
 
 Farm usage (`repro.core.farm`): workloads are declared as picklable
-:class:`~repro.core.farm.WorkloadSpec` values —
+:class:`~repro.workloads.spec.WorkloadSpec` values —
 
     specs = [WorkloadSpec.random_circuit(50, 10, seed=1),
              WorkloadSpec.qsim(50, 0.3, num_strings=25, seed=2),

@@ -8,7 +8,7 @@ reports the compiled circuit depth; the optimum width differs per workload,
 exposing the trade-off between in-row and cross-row parallelism.
 
 Sweeps are batched through :mod:`repro.core.farm`: describe workloads as
-picklable :class:`~repro.core.farm.WorkloadSpec` values and the grid of
+picklable :class:`~repro.workloads.spec.WorkloadSpec` values and the grid of
 ``(workload, width, config axis, router options)`` cells fans out across a
 process pool (``executor="process"``) or runs through the deterministic
 serial oracle (``executor="reference"``).  Both executors produce
@@ -30,11 +30,11 @@ from repro.core.farm import (
     FarmOptions,
     FarmPolicy,
     PointMetrics,
-    WorkloadSpec,
 )
 from repro.exceptions import QPilotError
 from repro.hardware.fpqa import FPQAConfig
 from repro.utils.serialization import config_to_dict
+from repro.workloads.spec import WorkloadSpec
 
 _SWEEP_SCHEMA_VERSION = 1
 
@@ -425,7 +425,6 @@ def sweep_grid(
 
 def sweep_array_width(
     workload: WorkloadSpec,
-    num_qubits: int | None = None,
     *,
     widths: Sequence[int] = DEFAULT_WIDTHS,
     workload_name: str | None = None,
@@ -440,16 +439,9 @@ def sweep_array_width(
     workload:
         The workload, batched through the compile farm (set
         ``executor="process"`` to parallelise).
-    num_qubits:
-        Optional cross-check of the spec's size; a contradiction raises.
     widths:
         Candidate column counts (the paper sweeps 8..128).
     """
-    if num_qubits is not None and num_qubits != workload.num_qubits:
-        raise QPilotError(
-            f"num_qubits={num_qubits} contradicts the workload spec's "
-            f"{workload.num_qubits} qubits; specs carry their own size"
-        )
     sweep = sweep_grid(
         workload,
         widths=widths,
@@ -465,7 +457,6 @@ def sweep_array_width(
 
 def architecture_search(
     workload: WorkloadSpec,
-    num_qubits: int | None = None,
     *,
     widths: Sequence[int] = DEFAULT_WIDTHS,
     metric: str = "depth",
@@ -476,7 +467,6 @@ def architecture_search(
     """Convenience wrapper: sweep the widths and return the best design point."""
     sweep = sweep_array_width(
         workload,
-        num_qubits,
         widths=widths,
         workload_name=workload_name,
         executor=executor,

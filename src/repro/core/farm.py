@@ -2,13 +2,12 @@
 
 Design-space exploration (the Fig. 14 study) recompiles the *same*
 workload against many candidate FPQA configurations: an embarrassingly
-parallel grid of independent compilations.  Three pieces describe it:
+parallel grid of independent compilations.  Workloads are described by
+:class:`~repro.workloads.spec.WorkloadSpec` (:mod:`repro.workloads.spec`
+owns every workload kind, its params, its build and its router): a few
+picklable scalars, built lazily inside the worker, so jobs cross process
+boundaries as tiny messages.  This module holds the jobs and executors:
 
-* :class:`WorkloadSpec` — a declarative, picklable description of one
-  workload (random circuit, Pauli strings, QAOA graph, uploaded QASM,
-  surface code, molecule).  The heavy workload object is built lazily
-  inside the worker from a few scalars, so jobs cross process boundaries
-  as tiny messages.
 * :class:`FarmJob` — one grid cell: ``(WorkloadSpec, FPQAConfig,
   FarmOptions)``.  Duplicate cells share a ``(workload fingerprint,
   config, options)`` memo key and compile once.
@@ -68,7 +67,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, ClassVar, Iterable, Iterator, Sequence
+from typing import Any, ClassVar, Iterator, Sequence
 
 from repro.utils.faults import (
     STALL_DISPATCH,
@@ -86,389 +85,9 @@ from repro.hardware.fpqa import FPQAConfig
 from repro.obs.events import log_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanRecord, Tracer, activate, span
+from repro.workloads.spec import WorkloadSpec
 
 logger = logging.getLogger(__name__)
-
-#: Workload families the farm understands.  ``circuit``/``qsim``/``qaoa``
-#: are the synthetic paper benchmarks; ``qasm`` carries untrusted
-#: user-uploaded OpenQASM text (content-addressed by its sha1); ``qec``
-#: and ``molecule`` expose the seed repo's surface-code and chemistry
-#: workloads to the farm and the serving stack.
-WORKLOAD_KINDS = ("circuit", "qsim", "qaoa", "qasm", "qec", "molecule")
-
-
-def _canonical_params(params: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
-    """Sorted, tuple-ified (hashable) view of a params dict."""
-
-    def freeze(value):
-        if isinstance(value, (list, tuple)):
-            return tuple(freeze(v) for v in value)
-        return value
-
-    return tuple(sorted((k, freeze(v)) for k, v in params.items()))
-
-
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """Declarative, picklable description of one workload.
-
-    The spec stores only scalars (sizes, probabilities, seeds, edge lists)
-    and builds the actual workload object on demand with :meth:`build` —
-    in a farm, inside the worker process.  Construction is deterministic:
-    equal specs always build equal workloads, which is what makes the
-    parallel/serial differential oracle meaningful.
-    """
-
-    kind: str
-    name: str
-    num_qubits: int
-    params: tuple[tuple[str, Any], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise QPilotError(
-                f"unknown workload kind {self.kind!r}; expected one of {WORKLOAD_KINDS}"
-            )
-        if self.num_qubits < 1:
-            raise QPilotError("workload needs at least one qubit")
-        if self.kind == "qasm":
-            self._validate_qasm()
-        elif self.kind == "qec":
-            self._validate_qec()
-        elif self.kind == "molecule":
-            self._validate_molecule()
-
-    def _validate_qasm(self) -> None:
-        """A qasm spec cannot exist with unparsable text or a wrong size.
-
-        The ingestion boundary (:meth:`qasm` / ``CompileService.submit_qasm``)
-        already applied a :class:`repro.circuit.CircuitLimits` guard; this
-        check (unbounded, structural only) guarantees that hand-built or
-        archived specs are equally incapable of smuggling invalid text past
-        the validators and into a farm worker.  It goes through
-        :func:`repro.circuit.validate_qasm`, so text that ingestion just
-        accepted is answered from the validation memo, not re-parsed;
-        the qubit count is compared with the spec's on every call.
-        """
-        from repro.circuit.qasm import CircuitLimits, validate_qasm
-
-        text = self.param("qasm")
-        if not isinstance(text, str) or not text.strip():
-            raise QPilotError("qasm workload needs a non-empty 'qasm' text param")
-        num_qubits = validate_qasm(text, limits=CircuitLimits.unbounded())
-        if num_qubits != self.num_qubits:
-            raise QPilotError(
-                f"qasm spec claims {self.num_qubits} qubits but the text declares "
-                f"qreg[{num_qubits}]"
-            )
-
-    def _validate_qec(self) -> None:
-        distance = self.param("distance")
-        rounds = self.param("rounds", 1)
-        if not isinstance(distance, int) or distance < 2:
-            raise QPilotError(f"qec workload needs an int distance >= 2, got {distance!r}")
-        if not isinstance(rounds, int) or rounds < 1:
-            raise QPilotError(f"qec workload needs an int rounds >= 1, got {rounds!r}")
-        expected = 2 * distance * distance - 1
-        if self.num_qubits != expected:
-            raise QPilotError(
-                f"distance-{distance} surface code uses {expected} qubits "
-                f"(data + ancilla), spec claims {self.num_qubits}"
-            )
-
-    def _validate_molecule(self) -> None:
-        from repro.workloads.molecules import MOLECULES
-
-        molecule = self.param("molecule")
-        if molecule not in MOLECULES:
-            raise QPilotError(
-                f"unknown molecule {molecule!r}; choose from {sorted(MOLECULES)}"
-            )
-        expected = MOLECULES[molecule].num_qubits
-        if self.num_qubits != expected:
-            raise QPilotError(
-                f"molecule {molecule} uses {expected} qubits, spec claims {self.num_qubits}"
-            )
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def random_circuit(
-        cls, num_qubits: int, gate_multiple: int, *, seed: int = 2024, name: str | None = None
-    ) -> "WorkloadSpec":
-        """Random circuit with ``gate_multiple * num_qubits`` CX gates (Fig. 11)."""
-        return cls(
-            kind="circuit",
-            name=name or f"random_{gate_multiple}x_{num_qubits}q",
-            num_qubits=num_qubits,
-            params=_canonical_params({"gate_multiple": int(gate_multiple), "seed": int(seed)}),
-        )
-
-    @classmethod
-    def qsim(
-        cls,
-        num_qubits: int,
-        pauli_probability: float,
-        *,
-        num_strings: int = 100,
-        seed: int = 2024,
-        name: str | None = None,
-    ) -> "WorkloadSpec":
-        """Quantum-simulation workload of random Pauli strings (Fig. 12)."""
-        return cls(
-            kind="qsim",
-            name=name or f"qsim_p{pauli_probability}_{num_qubits}q",
-            num_qubits=num_qubits,
-            params=_canonical_params(
-                {
-                    "pauli_probability": float(pauli_probability),
-                    "num_strings": int(num_strings),
-                    "seed": int(seed),
-                }
-            ),
-        )
-
-    @classmethod
-    def qaoa_random_graph(
-        cls,
-        num_qubits: int,
-        edge_probability: float,
-        *,
-        seed: int = 2024,
-        layers: int = 1,
-        name: str | None = None,
-    ) -> "WorkloadSpec":
-        """QAOA on an Erdős–Rényi G(n, p) graph (Fig. 13)."""
-        return cls(
-            kind="qaoa",
-            name=name or f"qaoa_p{edge_probability}_{num_qubits}q",
-            num_qubits=num_qubits,
-            params=_canonical_params(
-                {
-                    "graph": "random",
-                    "edge_probability": float(edge_probability),
-                    "seed": int(seed),
-                    "layers": int(layers),
-                }
-            ),
-        )
-
-    @classmethod
-    def qaoa_regular_graph(
-        cls,
-        num_qubits: int,
-        degree: int,
-        *,
-        seed: int = 2024,
-        layers: int = 1,
-        name: str | None = None,
-    ) -> "WorkloadSpec":
-        """QAOA on a random d-regular graph (Fig. 13)."""
-        return cls(
-            kind="qaoa",
-            name=name or f"qaoa_{degree}reg_{num_qubits}q",
-            num_qubits=num_qubits,
-            params=_canonical_params(
-                {
-                    "graph": "regular",
-                    "degree": int(degree),
-                    "seed": int(seed),
-                    "layers": int(layers),
-                }
-            ),
-        )
-
-    @classmethod
-    def qaoa_edges(
-        cls,
-        num_qubits: int,
-        edges: Iterable[tuple[int, int]],
-        *,
-        layers: int = 1,
-        name: str | None = None,
-    ) -> "WorkloadSpec":
-        """QAOA on an explicit edge list."""
-        edge_tuple = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
-        return cls(
-            kind="qaoa",
-            name=name or f"qaoa_edges_{num_qubits}q",
-            num_qubits=num_qubits,
-            params=_canonical_params({"graph": "edges", "edges": edge_tuple, "layers": layers}),
-        )
-
-    @classmethod
-    def qasm(
-        cls, text: str, *, limits: "CircuitLimits | None" = None, name: str | None = None
-    ) -> "WorkloadSpec":
-        """Untrusted OpenQASM 2.0 upload, content-addressed by its sha1.
-
-        The text is validated under ``limits`` (default
-        :data:`repro.circuit.DEFAULT_LIMITS`) *here*, before the spec —
-        and therefore any farm job — exists; a :class:`CircuitError`
-        with line/column escapes on anything malformed, hostile or
-        oversized.  Validation goes through
-        :func:`repro.circuit.validate_qasm`, so a repeat upload accepted
-        under limits at least as tight is not parsed again.  Identical
-        text yields an identical :meth:`fingerprint` (the name is
-        excluded from it), so repeat uploads coalesce in the queue and
-        warm-serve from the store exactly like synthetic workloads.
-        """
-        from repro.circuit.qasm import validate_qasm
-
-        num_qubits = validate_qasm(text, limits=limits)
-        sha1 = hashlib.sha1(text.encode("utf-8", errors="surrogatepass")).hexdigest()
-        return cls(
-            kind="qasm",
-            name=name or f"qasm_{sha1[:12]}",
-            num_qubits=num_qubits,
-            params=_canonical_params({"qasm": text}),
-        )
-
-    @classmethod
-    def qec_surface_code(
-        cls, distance: int, *, rounds: int = 1, name: str | None = None
-    ) -> "WorkloadSpec":
-        """Surface-code syndrome-extraction circuit (``workloads/qec.py``).
-
-        ``distance²`` data qubits plus ``distance² − 1`` stabilizer
-        ancillas, measured ``rounds`` times.
-        """
-        distance = int(distance)
-        rounds = int(rounds)
-        return cls(
-            kind="qec",
-            name=name or f"surface_d{distance}_r{rounds}",
-            num_qubits=2 * distance * distance - 1,
-            params=_canonical_params(
-                {"code": "surface", "distance": distance, "rounds": rounds}
-            ),
-        )
-
-    @classmethod
-    def molecule(cls, molecule: str, *, name: str | None = None) -> "WorkloadSpec":
-        """Table 1 molecular Hamiltonian (``workloads/molecules.py``)."""
-        from repro.workloads.molecules import MOLECULES
-
-        if molecule not in MOLECULES:
-            raise QPilotError(
-                f"unknown molecule {molecule!r}; choose from {sorted(MOLECULES)}"
-            )
-        return cls(
-            kind="molecule",
-            name=name or f"molecule_{molecule}",
-            num_qubits=MOLECULES[molecule].num_qubits,
-            params=_canonical_params({"molecule": molecule}),
-        )
-
-    # -- materialisation ------------------------------------------------
-    def param(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
-    def qasm_sha1(self) -> str:
-        """Content hash of an uploaded QASM text (the upload's identity)."""
-        if self.kind != "qasm":
-            raise QPilotError(f"qasm_sha1 is only defined for qasm workloads, not {self.kind}")
-        text = self.param("qasm")
-        return hashlib.sha1(text.encode("utf-8", errors="surrogatepass")).hexdigest()
-
-    def build(self):
-        """Materialise the workload object (circuit / strings / edge list)."""
-        if self.kind == "qasm":
-            from repro.circuit.qasm import CircuitLimits, from_qasm
-
-            # Ingestion already validated under real limits; the unbounded
-            # re-parse here just rebuilds the (content-addressed) circuit.
-            return from_qasm(self.param("qasm"), limits=CircuitLimits.unbounded())
-        if self.kind == "qec":
-            from repro.workloads.qec import surface_code_syndrome_circuit
-
-            return surface_code_syndrome_circuit(
-                self.param("distance"), rounds=self.param("rounds", 1)
-            )
-        if self.kind == "molecule":
-            from repro.workloads.molecules import molecule_pauli_strings
-
-            return molecule_pauli_strings(self.param("molecule"))
-        if self.kind == "circuit":
-            from repro.circuit.random_circuits import random_cx_circuit
-
-            return random_cx_circuit(
-                self.num_qubits,
-                self.param("gate_multiple") * self.num_qubits,
-                seed=self.param("seed"),
-            )
-        if self.kind == "qsim":
-            from repro.circuit.pauli import random_pauli_strings
-
-            return random_pauli_strings(
-                self.num_qubits,
-                self.param("num_strings"),
-                self.param("pauli_probability"),
-                seed=self.param("seed"),
-            )
-        graph = self.param("graph")
-        if graph == "edges":
-            return [tuple(edge) for edge in self.param("edges")]
-        if graph == "regular":
-            from repro.workloads.graphs import regular_graph_edges
-
-            return regular_graph_edges(
-                self.num_qubits, self.param("degree"), seed=self.param("seed")
-            )
-        from repro.workloads.graphs import random_graph_edges
-
-        return random_graph_edges(
-            self.num_qubits, self.param("edge_probability"), seed=self.param("seed")
-        )
-
-    def compile_with(self, compiler: QPilotCompiler, built=None) -> CompilationResult:
-        """Compile this workload with the right router of ``compiler``."""
-        workload = self.build() if built is None else built
-        if self.kind in ("circuit", "qasm", "qec"):
-            return compiler.compile_circuit(workload)
-        if self.kind in ("qsim", "molecule"):
-            return compiler.compile_pauli_strings(workload)
-        return compiler.compile_qaoa(
-            self.num_qubits, workload, layers=int(self.param("layers", 1))
-        )
-
-    def fingerprint(self) -> str:
-        """Stable content hash — the workload axis of the farm's memo key."""
-        payload = json.dumps(
-            {"kind": self.kind, "num_qubits": self.num_qubits, "params": self.params},
-            sort_keys=True,
-            default=list,
-        )
-        return hashlib.sha1(payload.encode()).hexdigest()
-
-    # -- archiving ------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-able spec, the workload half of a sweep archive's job record."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "num_qubits": self.num_qubits,
-            "params": [[key, value] for key, value in self.params],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WorkloadSpec":
-        """Rebuild a spec from :meth:`to_dict` (or its JSON round-trip).
-
-        ``_canonical_params`` re-freezes list values back into tuples, so
-        a round-tripped spec is *equal* to the original and shares its
-        :meth:`fingerprint` — which is what lets an archived sweep warm
-        the schedule store under the exact digests live traffic will ask
-        for.
-        """
-        return cls(
-            kind=str(data["kind"]),
-            name=str(data["name"]),
-            num_qubits=int(data["num_qubits"]),
-            params=_canonical_params({str(k): v for k, v in data.get("params", ())}),
-        )
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ their sha1 and coalesce/warm-serve exactly like synthetic workloads.
 
 Quick start::
 
-    from repro.core import WorkloadSpec
+    from repro.workloads.spec import WorkloadSpec
     from repro.service import CompileRequest, CompileService
 
     service = CompileService("/tmp/qpilot-store")

@@ -18,11 +18,13 @@ request per width, printing each design point as it resolves.  Both
 print service statistics afterwards (``--json`` for machine-readable
 output).  ``warm`` replays an archived DSE trajectory
 (``SweepResult.to_json`` output) into the store so live traffic finds it
-hot; ``stats`` reports entry count and on-disk bytes.  ``--memory-entries``
-sizes the in-process LRU front tier and ``--compress`` gzips new disk
-entries (old entries stay readable).
+hot, counting points warmed, already cached, skipped (failed points and
+malformed job records) and failed to compile; ``stats`` reports entry
+count and on-disk bytes.  ``--memory-entries`` sizes the in-process LRU
+front tier and ``--compress`` gzips new disk entries (old entries stay
+readable).
 
-Overload knobs (PR 8): ``--client-id``, ``--priority`` and
+Overload knobs: ``--client-id``, ``--priority`` and
 ``--deadline-s`` attach serving metadata to compile/sweep requests
 (quota accounting, priority lane, end-to-end budget);
 ``--max-dead-letters`` bounds the dead-letter list and
@@ -30,9 +32,10 @@ Overload knobs (PR 8): ``--client-id``, ``--priority`` and
 cutoff.  The stats output reports the overload counters (rejected /
 shed / expired, breaker state and trips, dead-letter drops).
 
-Untrusted circuits (PR 9): ``--qasm FILE`` compiles/sweeps a
+Untrusted circuits: ``--qasm FILE`` compiles/sweeps a
 user-supplied OpenQASM 2.0 file through the service's hardened
-ingestion boundary instead of a synthetic ``--kind`` workload, and
+ingestion boundary instead of a synthetic ``--kind`` workload (any
+:data:`~repro.workloads.spec.WORKLOAD_KINDS` entry but ``qasm``), and
 ``--kind qec`` / ``--kind molecule`` (with ``--distance``/``--rounds``
 and ``--molecule``) expose the surface-code and chemistry workloads.
 Invalid QASM exits with status **2** and a typed one-line rejection
@@ -59,7 +62,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.core.dse import SweepResult
-from repro.core.farm import FarmOptions, WorkloadSpec
+from repro.core.farm import FarmOptions
 from repro.exceptions import InvalidCircuitError
 from repro.obs.events import configure_event_log, remove_event_log
 from repro.obs.tracing import Tracer, activate, format_trace
@@ -67,6 +70,7 @@ from repro.service.queue import CompileRequest
 from repro.service.service import DEFAULT_MEMORY_ENTRIES, CompileService
 from repro.service.store import ScheduleStore
 from repro.utils.faults import FaultPlan
+from repro.workloads.spec import WORKLOAD_KINDS, WorkloadSpec
 
 #: Exit status for a typed ingestion rejection (invalid untrusted QASM).
 EXIT_INVALID_CIRCUIT = 2
@@ -139,7 +143,7 @@ def _request_options(args: argparse.Namespace) -> FarmOptions:
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kind",
-        choices=("circuit", "qsim", "qaoa", "qec", "molecule"),
+        choices=tuple(kind for kind in WORKLOAD_KINDS if kind != "qasm"),
         default="circuit",
         help="workload family (default: circuit)",
     )
@@ -347,7 +351,8 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         return 0
     print(
         f"warm: {counts['points']} points, {counts['warmed']} warmed, "
-        f"{counts['already']} already cached, {counts['skipped']} skipped"
+        f"{counts['already']} already cached, {counts['skipped']} skipped, "
+        f"{counts['failed']} failed"
     )
     _print_stats(service)
     return 0

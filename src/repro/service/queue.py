@@ -1,7 +1,7 @@
 """Compile requests and the admission-controlled, priority-laned job queue.
 
 Clients describe work as :class:`CompileRequest` values — a picklable
-:class:`~repro.core.farm.WorkloadSpec` plus the target
+:class:`~repro.workloads.spec.WorkloadSpec` plus the target
 :class:`~repro.hardware.fpqa.FPQAConfig` and router
 :class:`~repro.core.farm.FarmOptions` — exactly the farm's job model, so
 a request *is* a grid cell and inherits its content-addressed digest.
@@ -56,7 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.core.farm import FarmJob, FarmJobError, FarmOptions, WorkloadSpec
+from repro.core.farm import FarmJob, FarmJobError, FarmOptions
 from repro.exceptions import (
     AdmissionError,
     CircuitOpenError,
@@ -65,6 +65,7 @@ from repro.exceptions import (
     QPilotError,
 )
 from repro.hardware.fpqa import FPQAConfig
+from repro.workloads.spec import WorkloadSpec
 
 #: Lifecycle states of a queued job.
 PENDING = "pending"

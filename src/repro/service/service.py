@@ -82,7 +82,6 @@ from repro.core.farm import (
     FarmJobResult,
     FarmOptions,
     FarmPolicy,
-    WorkloadSpec,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,6 +108,7 @@ from repro.service.queue import (
 )
 from repro.service.store import ScheduleStore, StoreEntry
 from repro.utils.faults import deterministic_draw
+from repro.workloads.spec import WorkloadSpec
 
 logger = logging.getLogger(__name__)
 
@@ -853,11 +853,14 @@ class CompileService:
         like any lookup, a disk hit enters the memory tier, and a stale
         or corrupt entry file is removed and recompiled.
 
-        Returns counts: ``points`` (seen), ``warmed`` (compiled and
-        persisted now), ``already`` (servable before the call) and
-        ``skipped`` (failed points and pre-job-record archives).
+        Returns counts, with ``points == warmed + already + skipped +
+        failed``: ``points`` (seen), ``warmed`` (compiled and persisted
+        now), ``already`` (servable before the call), ``skipped`` (failed
+        points, pre-job-record archives and job records that do not
+        rebuild into a valid spec — never dispatched) and ``failed``
+        (dispatched but dead-lettered instead of compiled).
         """
-        counts = {"points": 0, "warmed": 0, "already": 0, "skipped": 0}
+        counts = {"points": 0, "warmed": 0, "already": 0, "skipped": 0, "failed": 0}
         requests: list[CompileRequest] = []
         seen: set[str] = set()
         for point in sweep.points:
@@ -881,9 +884,9 @@ class CompileService:
                 continue
             seen.add(digest)
             requests.append(request)
-        for _ in self.stream(requests):
-            pass  # responses persist as they land; warming wants no output
-        counts["warmed"] = len(requests)
+        # responses persist as they land; a dead-lettered request yields none
+        counts["warmed"] = sum(1 for _ in self.stream(requests))
+        counts["failed"] = len(requests) - counts["warmed"]
         return counts
 
     # -- streaming -------------------------------------------------------

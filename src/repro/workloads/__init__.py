@@ -1,4 +1,5 @@
-"""Benchmark workload generators (random circuits, Pauli strings, graphs, molecules)."""
+"""Benchmark workload generators (random circuits, Pauli strings, graphs, molecules)
+and the workload specs (:mod:`repro.workloads.spec`) that describe them to the farm."""
 
 from repro.workloads.graphs import (
     complete_graph_edges,
@@ -29,8 +30,6 @@ from repro.workloads.random_workload import (
     PAPER_NUM_PAULI_STRINGS,
     PAPER_PAULI_PROBABILITIES,
     PAPER_QUBIT_SIZES,
-    QSimSpec,
-    RandomCircuitSpec,
     fig14_workload_specs,
     qsim_workload,
     random_circuit_workload,
@@ -61,8 +60,6 @@ __all__ = [
     "PAPER_GATE_MULTIPLES",
     "PAPER_PAULI_PROBABILITIES",
     "PAPER_NUM_PAULI_STRINGS",
-    "RandomCircuitSpec",
-    "QSimSpec",
     "fig14_workload_specs",
     "random_circuit_workload",
     "qsim_workload",

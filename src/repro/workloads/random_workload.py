@@ -13,8 +13,6 @@ grids the paper reports so benchmarks and examples stay declarative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
@@ -22,6 +20,7 @@ from repro.circuit.pauli import PauliString, random_pauli_strings
 from repro.circuit.random_circuits import random_cx_circuit
 from repro.exceptions import WorkloadError
 from repro.utils.rng import ensure_rng
+from repro.workloads.spec import WorkloadSpec
 
 #: Qubit counts used across the paper's figures.
 PAPER_QUBIT_SIZES: tuple[int, ...] = (5, 10, 20, 50, 100)
@@ -31,37 +30,6 @@ PAPER_GATE_MULTIPLES: tuple[int, ...] = (2, 5, 10, 20, 50)
 PAPER_PAULI_PROBABILITIES: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5)
 #: Number of Pauli strings per quantum-simulation workload.
 PAPER_NUM_PAULI_STRINGS: int = 100
-
-
-@dataclass(frozen=True)
-class RandomCircuitSpec:
-    """Specification of one random-circuit workload point."""
-
-    num_qubits: int
-    gate_multiple: int
-    seed: int = 2024
-
-    @property
-    def num_two_qubit_gates(self) -> int:
-        return self.num_qubits * self.gate_multiple
-
-    def build(self) -> QuantumCircuit:
-        return random_cx_circuit(self.num_qubits, self.num_two_qubit_gates, seed=self.seed)
-
-
-@dataclass(frozen=True)
-class QSimSpec:
-    """Specification of one quantum-simulation workload point."""
-
-    num_qubits: int
-    pauli_probability: float
-    num_strings: int = PAPER_NUM_PAULI_STRINGS
-    seed: int = 2024
-
-    def build(self) -> list[PauliString]:
-        return random_pauli_strings(
-            self.num_qubits, self.num_strings, self.pauli_probability, seed=self.seed
-        )
 
 
 def random_circuit_workload(
@@ -87,14 +55,12 @@ def qsim_workload(
 def fig14_workload_specs(num_qubits: int, *, num_pauli_strings: int = 20) -> list:
     """The Fig. 14 DSE grid's three workload families as compile-farm specs.
 
-    One declarative, picklable :class:`~repro.core.farm.WorkloadSpec` per
-    family (random circuit at 10× gates, p=0.3 quantum simulation, p=0.3
+    One declarative, picklable :class:`~repro.workloads.spec.WorkloadSpec`
+    per family (random circuit at 10× gates, p=0.3 quantum simulation, p=0.3
     QAOA graph), with the fixed seeds the benchmark suite pins.  Shared by
     ``benchmarks/bench_fig14_array_width.py`` and the DSE perf smoke
     test, so both always measure the same grid.
     """
-    from repro.core.farm import WorkloadSpec
-
     return [
         WorkloadSpec.random_circuit(num_qubits, 10, seed=31, name="random"),
         WorkloadSpec.qsim(

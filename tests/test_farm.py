@@ -314,13 +314,6 @@ class TestExecutorOracle:
         assert deterministic_metrics(reference) == deterministic_metrics(pooled)
         assert [p.axes for p in reference.points] == [p.axes for p in pooled.points]
 
-    def test_spec_path_rejects_contradictory_num_qubits(self):
-        with pytest.raises(QPilotError):
-            sweep_array_width(FAMILY_SPECS[0], 100, widths=WIDTHS)
-        # matching or omitted num_qubits is fine
-        sweep = sweep_array_width(FAMILY_SPECS[0], FAMILY_SPECS[0].num_qubits, widths=(4,))
-        assert sweep.points[0].width == 4
-
 
 class TestJobDigest:
     """FarmJob.digest — the content-addressed schedule-store key."""

@@ -27,6 +27,7 @@ from repro.service import (
 from repro.service.cli import EXIT_INVALID_CIRCUIT
 from repro.service.cli import main as cli_main
 from repro.utils.serialization import schedule_to_json
+from repro.workloads.spec import WORKLOAD_KINDS
 
 CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 
@@ -630,7 +631,7 @@ class TestWarmFrom:
         archived = SweepResult.from_json(self._sweep().to_json())
         service = service_for(tmp_path)
         counts = service.warm_from(archived)
-        assert counts == {"points": 3, "warmed": 3, "already": 0, "skipped": 0}
+        assert counts == {"points": 3, "warmed": 3, "already": 0, "skipped": 0, "failed": 0}
 
         # live traffic for the same grid must now be pure cache hits
         def forbidden(jobs, **kwargs):  # pragma: no cover - fails the test if hit
@@ -653,7 +654,7 @@ class TestWarmFrom:
         first = service.warm_from(sweep)
         second = service.warm_from(sweep)
         assert first["warmed"] == 3
-        assert second == {"points": 3, "warmed": 0, "already": 3, "skipped": 0}
+        assert second == {"points": 3, "warmed": 0, "already": 3, "skipped": 0, "failed": 0}
 
     def test_warm_from_skips_failed_and_recordless_points(self, tmp_path):
         from repro.core.dse import SweepResult
@@ -664,7 +665,7 @@ class TestWarmFrom:
         archived = SweepResult.from_json(sweep.to_json())
         service = service_for(tmp_path)
         counts = service.warm_from(archived)
-        assert counts == {"points": 3, "warmed": 1, "already": 0, "skipped": 2}
+        assert counts == {"points": 3, "warmed": 1, "already": 0, "skipped": 2, "failed": 0}
 
     def test_warm_from_rewarms_unservable_entries(self, tmp_path):
         """An entry file that would not be served (an older schema) is not
@@ -679,9 +680,39 @@ class TestWarmFrom:
             data["schema_version"] = 2
             path.write_text(json.dumps(data))
         counts = service_for(tmp_path).warm_from(sweep)
-        assert counts == {"points": 3, "warmed": 3, "already": 0, "skipped": 0}
+        assert counts == {"points": 3, "warmed": 3, "already": 0, "skipped": 0, "failed": 0}
         disk = ScheduleStore(tmp_path / "store")
         assert all(disk.get(digest) is not None for digest in digests)
+
+    def test_warm_from_reports_dead_lettered_points_as_failed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Only responses the stream yields count as warmed: a point whose
+        compile dies in the farm is reported as failed, in the service
+        counts and on the CLI ``warm`` line."""
+        from repro.core import FarmPolicy
+        from repro.core import farm as farm_module
+
+        sweep = self._sweep()
+        archive = tmp_path / "sweep.json"
+        archive.write_text(sweep.to_json())
+
+        def explode(job, attempt=0):
+            raise RuntimeError("router exploded")
+
+        monkeypatch.setattr(farm_module, "compile_farm_job_with_schedule", explode)
+        service = service_for(tmp_path, policy=FarmPolicy(max_retries=0))
+        counts = service.warm_from(sweep)
+        assert counts == {"points": 3, "warmed": 0, "already": 0, "skipped": 0, "failed": 3}
+        assert len(service.queue.dead_letters) == 3
+        assert len(service.store) == 0
+        warm_args = [
+            "warm", "--store", str(tmp_path / "cli-store"), "--sweep", str(archive),
+            "--executor", "reference",
+        ]
+        assert cli_main(warm_args) == 0
+        out = capsys.readouterr().out
+        assert "0 warmed" in out and "3 failed" in out
 
 
 VALID_QASM = (
@@ -796,18 +827,21 @@ class TestQasmIngestion:
 
 
 class TestServiceCli:
-    def _compile_args(self, store) -> list[str]:
+    def _compile_args(self, store, kind: str = "circuit") -> list[str]:
         return [
-            "compile", "--store", str(store), "--executor", "reference",
-            "--kind", "circuit", "--qubits", "8", "--gate-multiple", "3", "--width", "4",
+            "compile", "--store", str(store), "--executor", "reference", "--kind", kind,
+            "--qubits", "8", "--gate-multiple", "3", "--num-strings", "6", "--distance", "2",
+            "--width", "4",
         ]
 
-    def test_compile_then_cache_hit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", [kind for kind in WORKLOAD_KINDS if kind != "qasm"])
+    def test_compile_then_cache_hit(self, tmp_path, capsys, kind):
         store = tmp_path / "store"
-        assert cli_main(self._compile_args(store)) == 0
+        args = self._compile_args(store, kind)
+        assert cli_main(args) == 0
         first = capsys.readouterr().out
         assert "compiled:" in first
-        assert cli_main(self._compile_args(store)) == 0
+        assert cli_main(args) == 0
         second = capsys.readouterr().out
         assert "cache:" in second
         assert "1 cache hits / 0 misses" in second
